@@ -15,14 +15,13 @@
 //! Usage: `cargo bench --bench parallel_scaling [-- --quick]`
 //! (`--quick` shrinks the matrix and repetitions for CI smoke runs).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use fgh_core::models::FineGrainModel;
 use fgh_hypergraph::Hypergraph;
-use fgh_partition::{
-    partition_hypergraph_seeds, partition_hypergraph_seeds_traced, Parallelism, PartitionConfig,
-};
-use fgh_trace::Tracer;
+use fgh_partition::{partition_hypergraph_seeds, ArenaPool, Parallelism, PartitionConfig};
+use fgh_trace::{SpanHandle, Tracer};
 
 const K: u32 = 16;
 const SEEDS: usize = 8;
@@ -59,7 +58,8 @@ fn phase_breakdown(hg: &Hypergraph, threads: usize) -> Vec<(&'static str, u64)> 
     let cfg = config_for(threads);
     let (tracer, sink) = Tracer::collecting();
     let root = tracer.span("sweep");
-    let results = partition_hypergraph_seeds_traced(hg, K, &cfg, SEEDS, &root.handle());
+    let pool = Arc::new(ArenaPool::new());
+    let results = partition_hypergraph_seeds(hg, K, &cfg, SEEDS, &pool, &root.handle());
     drop(root);
     for r in results {
         r.expect("traced partition run failed");
@@ -74,7 +74,8 @@ fn run_sweep(hg: &Hypergraph, threads: usize, reps: usize) -> (f64, Vec<u64>) {
     let mut cutsizes = Vec::new();
     for _ in 0..reps {
         let start = Instant::now();
-        let results = partition_hypergraph_seeds(hg, K, &cfg, SEEDS);
+        let pool = Arc::new(ArenaPool::new());
+        let results = partition_hypergraph_seeds(hg, K, &cfg, SEEDS, &pool, &SpanHandle::noop());
         let elapsed = start.elapsed().as_secs_f64();
         cutsizes = results
             .into_iter()

@@ -25,11 +25,11 @@
 //!
 //! The [`workload`] module offers one-call decomposition for any
 //! supported workload ([`workload::decompose_workload`] over
-//! [`workload::Workload::Spmv`] and [`workload::Workload::Spgemm`]);
-//! the legacy SpMV-only quartet in [`api`] remains as deprecated shims
-//! for one release. [`reduction`] generalizes the model to arbitrary
-//! input/output reduction problems with optional pre-assigned elements
-//! (the paper's §3 remark).
+//! [`workload::Workload::Spmv`] and [`workload::Workload::Spgemm`], plus
+//! the width-erased [`workload::decompose_workload_any`] and its
+//! pool-reusing [`workload::decompose_workload_any_in`]). [`reduction`]
+//! generalizes the model to arbitrary input/output reduction problems
+//! with optional pre-assigned elements (the paper's §3 remark).
 
 // Robustness contract: library (non-test) code must not panic; provably
 // infallible sites carry a narrowly scoped `allow` with a justification.
@@ -45,8 +45,6 @@ pub mod session;
 pub mod status;
 pub mod workload;
 
-#[allow(deprecated)] // legacy quartet re-exported through its one deprecation cycle
-pub use api::{decompose, decompose_any, decompose_any_in, decompose_in};
 pub use api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, WorkloadKind};
 pub use decomp::Decomposition;
 pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, InitialScheme, Parallelism};
@@ -56,11 +54,11 @@ pub use report::{
     metrics_document, metrics_json, spgemm_metrics_document, spgemm_metrics_json,
     validate_metrics_value, METRICS_SCHEMA,
 };
-pub use session::{EngineSession, JobParams};
+pub use session::EngineSession;
 pub use status::{DecompositionStatus, DegradedReason};
 pub use workload::{
-    decompose_workload, decompose_workload_any, decompose_workload_any_in, decompose_workload_in,
-    SpgemmOutcome, Workload, WorkloadAny, WorkloadOutcome,
+    decompose_workload, decompose_workload_any, decompose_workload_any_in, SpgemmOutcome, Workload,
+    WorkloadAny, WorkloadOutcome,
 };
 
 /// Errors from model construction and decomposition.

@@ -11,8 +11,7 @@
 //! the corresponding nets, exactly as the paper prescribes.
 
 use fgh_hypergraph::{connectivity_sets, HypergraphBuilder};
-use fgh_partition::recursive::partition_hypergraph_fixed;
-use fgh_partition::PartitionConfig;
+use fgh_partition::{partition_hypergraph_with, MultilevelDriver, PartitionConfig};
 
 use crate::{ModelError, Result};
 
@@ -151,11 +150,11 @@ impl ReductionProblem {
         }
 
         let hg = builder.build()?;
-        let result = partition_hypergraph_fixed(
+        let result = partition_hypergraph_with(
+            &mut MultilevelDriver::new(cfg.clone()),
             &hg,
             k,
             if has_preassign { Some(&fixed) } else { None },
-            cfg,
         )?;
         let partition = &result.partition;
 

@@ -1,132 +1,22 @@
 //! Reusable decomposition engine handle: [`EngineSession`] holds the
 //! state worth keeping *across* requests (the scratch-arena pool, the
-//! thread policy, a budget ceiling), while [`JobParams`] carries what
-//! varies *per* request (model, K, ε, seed, runs, budget, trace, cancel
-//! token). `fgh serve` builds one session at startup and runs every
-//! accepted job through it; embedders batch-processing many matrices get
-//! the same warm-arena reuse without a server.
+//! thread policy, a budget ceiling), while a plain [`DecomposeConfig`]
+//! carries what varies *per* request. `fgh serve` builds one session at
+//! startup and runs every accepted job through it; embedders
+//! batch-processing many matrices get the same warm-arena reuse without a
+//! server.
 //!
-//! The split is the session/request factoring of [`DecomposeConfig`]: a
-//! `JobParams` composes with the session into a plain `DecomposeConfig`
-//! (see [`JobParams::into_config`]), so the one-shot API and the session
-//! API cannot drift apart.
+//! A job runs as
+//! `decompose_workload_any_in(workload, &session.configure(cfg), session.pool())`:
+//! [`EngineSession::configure`] applies the session's policy to the
+//! request, and the one entry point is shared with one-shot callers, so
+//! the session path and the one-shot path cannot drift apart.
 
 use std::sync::Arc;
 
-use fgh_partition::{ArenaPool, Budget, CancelToken, InitialScheme, Parallelism};
-use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
+use fgh_partition::{ArenaPool, Budget, Parallelism};
 
-use crate::api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model};
-use crate::workload::{
-    decompose_workload_any_in, decompose_workload_in, Workload, WorkloadAny, WorkloadOutcome,
-};
-use crate::FghError;
-
-/// Per-request decomposition parameters — everything about *one* job.
-///
-/// Defaults mirror [`DecomposeConfig::new`]: ε = 3%, seed 1, one run,
-/// unlimited budget, no trace, no cancel token.
-#[derive(Debug, Clone)]
-pub struct JobParams {
-    /// The decomposition model.
-    pub model: Model,
-    /// Number of processors K.
-    pub k: u32,
-    /// Maximum load imbalance ε.
-    pub epsilon: f64,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Independent partitioner runs; best balanced result kept.
-    pub runs: usize,
-    /// Per-request resource budget. The effective budget is this
-    /// intersected with the session's ceiling (see
-    /// [`EngineSession::with_budget_ceiling`]) — a request can tighten
-    /// but never loosen the session limit.
-    pub budget: Budget,
-    /// Record a structured execution trace for this job.
-    pub trace: bool,
-    /// Cooperative cancellation token for this job.
-    pub cancel: Option<CancelToken>,
-    /// Initial-partitioning scheme (see [`DecomposeConfig::initial`]).
-    pub initial: InitialScheme,
-}
-
-impl JobParams {
-    /// Parameters for the given model and K with paper defaults.
-    pub fn new(model: Model, k: u32) -> Self {
-        JobParams {
-            model,
-            k,
-            epsilon: 0.03,
-            seed: 1,
-            runs: 1,
-            budget: Budget::UNLIMITED,
-            trace: false,
-            cancel: None,
-            initial: InitialScheme::Ghg,
-        }
-    }
-
-    /// The same parameters with a different balance tolerance ε.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// The same parameters with a different base RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The same parameters running `runs` independent partitioner seeds.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
-        self
-    }
-
-    /// The same parameters with a per-request budget attached.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The same parameters with trace recording switched on or off.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// The same parameters with a cancellation token attached.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// The same parameters with a different initial-partitioning scheme.
-    pub fn with_initial(mut self, initial: InitialScheme) -> Self {
-        self.initial = initial;
-        self
-    }
-
-    /// Composes these parameters with a session's policy into the
-    /// [`DecomposeConfig`] the one-shot API understands. The budget is
-    /// the intersection of the request's and the session ceiling.
-    pub fn into_config(self, session: &EngineSession) -> DecomposeConfig {
-        DecomposeConfig {
-            model: self.model,
-            k: self.k,
-            epsilon: self.epsilon,
-            seed: self.seed,
-            runs: self.runs,
-            budget: session.budget_ceiling.intersect(&self.budget),
-            parallelism: session.parallelism,
-            trace: self.trace,
-            cancel: self.cancel,
-            initial: self.initial,
-        }
-    }
-}
+use crate::api::DecomposeConfig;
 
 /// A long-lived decomposition engine handle.
 ///
@@ -177,49 +67,16 @@ impl EngineSession {
         self.pool.idle()
     }
 
-    /// SpMV decomposition through this session: same semantics as
-    /// [`crate::decompose_workload`] with [`Workload::Spmv`], scratch
-    /// drawn from the session pool, budget clamped under the ceiling.
-    pub fn decompose<I: DecomposeIndex>(
-        &self,
-        a: &CsrMatrix<I>,
-        params: JobParams,
-    ) -> std::result::Result<DecompositionOutcome, FghError> {
-        self.decompose_workload(Workload::Spmv(a), params)?
-            .into_spmv()
-    }
-
-    /// SpMV decomposition through this session (width-erased).
-    pub fn decompose_any(
-        &self,
-        a: &AnyCsrMatrix,
-        params: JobParams,
-    ) -> std::result::Result<DecompositionOutcome, FghError> {
-        self.decompose_workload_any(WorkloadAny::Spmv(a), params)?
-            .into_spmv()
-    }
-
-    /// [`crate::decompose_workload`] through this session: any workload
-    /// family, scratch drawn from the session pool, budget clamped under
-    /// the ceiling.
-    pub fn decompose_workload<I: DecomposeIndex>(
-        &self,
-        workload: Workload<'_, I>,
-        params: JobParams,
-    ) -> std::result::Result<WorkloadOutcome, FghError> {
-        let cfg = params.into_config(self);
-        decompose_workload_in(workload, &cfg, &self.pool)
-    }
-
-    /// [`crate::decompose_workload_any`] through this session
-    /// (width-erased).
-    pub fn decompose_workload_any(
-        &self,
-        workload: WorkloadAny<'_>,
-        params: JobParams,
-    ) -> std::result::Result<WorkloadOutcome, FghError> {
-        let cfg = params.into_config(self);
-        decompose_workload_any_in(workload, &cfg, &self.pool)
+    /// Applies this session's policy to one request: the session's
+    /// thread fan-out replaces the request's, and the budget becomes the
+    /// intersection of the request's and the session ceiling — a request
+    /// can tighten but never loosen the session limit.
+    pub fn configure(&self, cfg: DecomposeConfig) -> DecomposeConfig {
+        DecomposeConfig {
+            budget: self.budget_ceiling.intersect(&cfg.budget),
+            parallelism: self.parallelism,
+            ..cfg
+        }
     }
 }
 
@@ -232,7 +89,11 @@ impl Default for EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{DecompositionOutcome, Model};
+    use crate::workload::{decompose_workload_any_in, Workload, WorkloadAny};
+    use fgh_partition::CancelToken;
     use fgh_sparse::gen::{self, ValueMode};
+    use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -246,13 +107,24 @@ mod tests {
         )
     }
 
+    /// One SpMV job through `session`, the way the serve worker runs it.
+    fn run(session: &EngineSession, a: &CsrMatrix, cfg: DecomposeConfig) -> DecompositionOutcome {
+        let a = AnyCsrMatrix::U32(a.clone());
+        decompose_workload_any_in(
+            WorkloadAny::Spmv(&a),
+            &session.configure(cfg),
+            session.pool(),
+        )
+        .unwrap()
+        .into_spmv()
+        .unwrap()
+    }
+
     #[test]
     fn session_matches_one_shot_api() {
         let a = test_matrix();
         let session = EngineSession::new();
-        let s = session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        let s = run(&session, &a, DecomposeConfig::new(Model::FineGrain2D, 4));
         let o = crate::decompose_workload(
             Workload::Spmv(&a),
             &DecomposeConfig::new(Model::FineGrain2D, 4),
@@ -267,15 +139,16 @@ mod tests {
     #[test]
     fn session_runs_spgemm_workloads() {
         let a = test_matrix();
+        let any = AnyCsrMatrix::U32(a.clone());
         let session = EngineSession::new();
-        let out = session
-            .decompose_workload(
-                Workload::Spgemm(&a, &a),
-                JobParams::new(Model::SpgemmFineGrain, 4),
-            )
-            .unwrap()
-            .into_spgemm()
-            .unwrap();
+        let out = decompose_workload_any_in(
+            WorkloadAny::Spgemm(&any, &any),
+            &session.configure(DecomposeConfig::new(Model::SpgemmFineGrain, 4)),
+            session.pool(),
+        )
+        .unwrap()
+        .into_spgemm()
+        .unwrap();
         out.decomposition.validate(&a, &a).unwrap();
         assert_eq!(out.objective, out.stats.total_volume());
         assert!(session.idle_arenas() > 0, "spgemm jobs share the pool");
@@ -285,14 +158,10 @@ mod tests {
     fn pool_is_reused_across_requests() {
         let a = test_matrix();
         let session = EngineSession::new();
-        session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        run(&session, &a, DecomposeConfig::new(Model::FineGrain2D, 4));
         let warmed = session.idle_arenas();
         assert!(warmed > 0, "first request must park arenas for reuse");
-        session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4))
-            .unwrap();
+        run(&session, &a, DecomposeConfig::new(Model::FineGrain2D, 4));
         // Reuse, not growth: the second identical request checks the same
         // arenas out and back in.
         assert_eq!(session.idle_arenas(), warmed);
@@ -301,16 +170,25 @@ mod tests {
     #[test]
     fn ceiling_clamps_request_budget() {
         let session = EngineSession::new().with_budget_ceiling(Budget::bytes(1));
-        let params = JobParams::new(Model::FineGrain2D, 4); // unlimited request
-        let cfg = params.into_config(&session);
+        let cfg = session.configure(DecomposeConfig::new(Model::FineGrain2D, 4)); // unlimited request
         assert_eq!(cfg.budget.max_bytes, Some(1));
 
         // And a tighter request wins over a looser ceiling.
         let session = EngineSession::new().with_budget_ceiling(Budget::bytes(1000));
-        let cfg = JobParams::new(Model::FineGrain2D, 4)
-            .with_budget(Budget::bytes(10))
-            .into_config(&session);
+        let cfg = session
+            .configure(DecomposeConfig::new(Model::FineGrain2D, 4).with_budget(Budget::bytes(10)));
         assert_eq!(cfg.budget.max_bytes, Some(10));
+    }
+
+    #[test]
+    fn configure_applies_session_parallelism() {
+        let session = EngineSession::new().with_parallelism(Parallelism::Serial);
+        let request = DecomposeConfig::new(Model::FineGrain2D, 4)
+            .with_parallelism(Parallelism::Threads(4))
+            .with_seed(9);
+        let cfg = session.configure(request);
+        assert_eq!(cfg.parallelism, Parallelism::Serial);
+        assert_eq!(cfg.seed, 9, "request fields pass through");
     }
 
     #[test]
@@ -319,9 +197,11 @@ mod tests {
         let session = EngineSession::new();
         let token = CancelToken::new();
         token.cancel(); // tripped before the run even starts
-        let out = session
-            .decompose(&a, JobParams::new(Model::FineGrain2D, 4).with_cancel(token))
-            .unwrap();
+        let out = run(
+            &session,
+            &a,
+            DecomposeConfig::new(Model::FineGrain2D, 4).with_cancel(token),
+        );
         out.decomposition.validate(&a).unwrap();
         assert_eq!(out.status.code(), Some("cancelled"));
         assert!(out.engine.cancelled());

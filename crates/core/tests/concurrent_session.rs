@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use fgh_core::{
-    DecomposeConfig, EngineSession, JobParams, Model, Workload, WorkloadAny, WorkloadOutcome,
+    decompose_workload_any_in, DecomposeConfig, EngineSession, Model, Workload, WorkloadAny,
+    WorkloadOutcome,
 };
 use fgh_sparse::gen::{self, ValueMode};
 use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
@@ -61,13 +62,13 @@ fn threads_sharing_one_session_match_serial_results() {
             let session = Arc::clone(&session);
             std::thread::spawn(move || {
                 let a = AnyCsrMatrix::U32(matrix(seed));
-                let out = session
-                    .decompose_workload_any(
-                        WorkloadAny::Spmv(&a),
-                        JobParams::new(model, k).with_seed(seed),
-                    )
-                    .and_then(WorkloadOutcome::into_spmv)
-                    .unwrap();
+                let out = decompose_workload_any_in(
+                    WorkloadAny::Spmv(&a),
+                    &session.configure(DecomposeConfig::new(model, k).with_seed(seed)),
+                    session.pool(),
+                )
+                .and_then(WorkloadOutcome::into_spmv)
+                .unwrap();
                 (seed, out)
             })
         })
@@ -93,14 +94,15 @@ fn pool_stabilizes_under_repeated_concurrent_waves() {
             .map(|t| {
                 let session = Arc::clone(&session);
                 std::thread::spawn(move || {
-                    let a = matrix(7);
-                    session
-                        .decompose_workload(
-                            Workload::Spmv(&a),
-                            JobParams::new(Model::FineGrain2D, 4).with_seed(t as u64),
-                        )
-                        .and_then(WorkloadOutcome::into_spmv)
-                        .unwrap()
+                    let a = AnyCsrMatrix::U32(matrix(7));
+                    let cfg = DecomposeConfig::new(Model::FineGrain2D, 4).with_seed(t as u64);
+                    decompose_workload_any_in(
+                        WorkloadAny::Spmv(&a),
+                        &session.configure(cfg),
+                        session.pool(),
+                    )
+                    .and_then(WorkloadOutcome::into_spmv)
+                    .unwrap()
                 })
             })
             .collect();

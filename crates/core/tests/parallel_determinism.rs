@@ -5,8 +5,11 @@
 //! its RNG stream from its own identity, so the schedule cannot leak
 //! into the result.
 
+use std::sync::Arc;
+
 use fgh_core::models::FineGrainModel;
-use fgh_partition::{partition_hypergraph_seeds, Parallelism, PartitionConfig};
+use fgh_partition::{partition_hypergraph_seeds, ArenaPool, Parallelism, PartitionConfig};
+use fgh_trace::SpanHandle;
 
 const SEEDS: usize = 8;
 
@@ -20,7 +23,8 @@ fn per_seed_outcomes(
         parallelism,
         ..Default::default()
     };
-    partition_hypergraph_seeds(hg, k, &cfg, SEEDS)
+    let pool = Arc::new(ArenaPool::new());
+    partition_hypergraph_seeds(hg, k, &cfg, SEEDS, &pool, &SpanHandle::noop())
         .into_iter()
         .map(|r| {
             let r = r.expect("partition run failed");

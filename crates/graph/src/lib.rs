@@ -28,8 +28,7 @@ pub mod partition;
 pub use fgh_partition::PartitionConfig;
 pub use graph::CsrGraph;
 pub use partition::{
-    partition_graph, partition_graph_best, partition_graph_best_traced,
-    partition_graph_best_traced_in, partition_graph_with, GraphPartitionResult,
+    partition_graph, partition_graph_best_traced_in, partition_graph_with, GraphPartitionResult,
 };
 
 #[cfg(test)]

@@ -19,12 +19,12 @@
 
 use std::sync::Arc;
 
-use fgh_partition::error::{panic_message, HypergraphError};
+use fgh_partition::error::HypergraphError;
 use fgh_partition::{
-    record_run_counters, ArenaIndex, ArenaPool, EngineStats, LevelArena, MultilevelDriver,
-    PartitionConfig, PartitionError, Substrate,
+    best_of_seeds, ArenaIndex, ArenaPool, EngineStats, LevelArena, MultilevelDriver,
+    PartitionConfig, PartitionError, SeedRun, Substrate,
 };
-use fgh_trace::{Span, SpanHandle};
+use fgh_trace::SpanHandle;
 
 use crate::graph::CsrGraph;
 
@@ -43,6 +43,20 @@ pub struct GraphPartitionResult {
     /// Engine instrumentation for this run, including budget-truncation
     /// counters (see [`EngineStats::truncated`]).
     pub stats: EngineStats,
+}
+
+impl SeedRun for GraphPartitionResult {
+    fn cut(&self) -> u64 {
+        self.edge_cut
+    }
+
+    fn imbalance_percent(&self) -> f64 {
+        self.imbalance_percent
+    }
+
+    fn stats(&self) -> &EngineStats {
+        &self.stats
+    }
 }
 
 impl<I: ArenaIndex> Substrate for CsrGraph<I> {
@@ -344,36 +358,12 @@ fn finish<I: ArenaIndex>(
     }
 }
 
-/// Runs [`partition_graph`] with `runs` seeds — fanned out over threads
-/// per `cfg.parallelism` — returning the best balanced result by edge cut
-/// (the paper's MeTiS 50-seed protocol). A panicking seed becomes an
-/// error value; surviving seeds still compete for the best result.
-pub fn partition_graph_best<I: ArenaIndex>(
-    g: &CsrGraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-) -> Result<GraphPartitionResult, PartitionError> {
-    partition_graph_best_traced(g, k, cfg, runs, &SpanHandle::noop())
-}
-
-/// [`partition_graph_best`] recording under a trace scope: each seed gets
-/// a `run[offset]` child span of `parent` carrying the run's engine/arena
-/// counters, with the multilevel phase spans nested inside (requires the
-/// `trace` cargo feature to record anything).
-pub fn partition_graph_best_traced<I: ArenaIndex>(
-    g: &CsrGraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    parent: &SpanHandle,
-) -> Result<GraphPartitionResult, PartitionError> {
-    partition_graph_best_traced_in(g, k, cfg, runs, &Arc::new(ArenaPool::new()), parent)
-}
-
-/// [`partition_graph_best_traced`] drawing every seed's scratch arena
-/// from a caller-supplied [`ArenaPool`] — the session-reuse entry point
-/// matching `fgh_partition::partition_hypergraph_best_traced_in`.
+/// Runs [`partition_graph`] under seeds `cfg.seed..cfg.seed + runs` —
+/// fanned out over threads per `cfg.parallelism` — and returns the best
+/// balanced result by edge cut (the paper's MeTiS 50-seed protocol). The
+/// fan-out, span layout and best-pick are the hypergraph partitioner's
+/// (see [`best_of_seeds`]); every seed draws its scratch arena from
+/// `pool` and records under a `run[offset]` child span of `parent`.
 pub fn partition_graph_best_traced_in<I: ArenaIndex>(
     g: &CsrGraph<I>,
     k: u32,
@@ -382,82 +372,9 @@ pub fn partition_graph_best_traced_in<I: ArenaIndex>(
     pool: &Arc<ArenaPool>,
     parent: &SpanHandle,
 ) -> Result<GraphPartitionResult, PartitionError> {
-    let runs = runs.max(1);
-    let pool = Arc::clone(pool);
-    let threads = cfg.parallelism.resolved();
-    let results = if threads > 1 && rayon::current_thread_index().is_none() {
-        match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(tp) => tp.install(|| seed_range(g, k, cfg, 0, runs, &pool, parent)),
-            Err(_) => seed_range(g, k, cfg, 0, runs, &pool, parent),
-        }
-    } else {
-        seed_range(g, k, cfg, 0, runs, &pool, parent)
-    };
-    let mut first_err: Option<PartitionError> = None;
-    let ok: Vec<GraphPartitionResult> = results
-        .into_iter()
-        .filter_map(|r| match r {
-            Ok(res) => Some(res),
-            Err(e) => {
-                first_err = first_err.take().or(Some(e));
-                None
-            }
-        })
-        .collect();
-    ok.into_iter()
-        .min_by(|a, b| {
-            let ab = a.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-            let bb = b.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-            // Balanced first, then lower cut.
-            bb.cmp(&ab).then(a.edge_cut.cmp(&b.edge_cut))
-        })
-        .ok_or_else(|| {
-            first_err.unwrap_or_else(|| PartitionError::Worker("no seed produced a result".into()))
-        })
-}
-
-/// Runs seed offsets `lo..hi`, halving the range across `rayon::join`
-/// until single seeds remain; results concatenate back in seed order.
-/// Each seed partitions on a driver drawn from the shared arena pool,
-/// with panics contained to that seed's slot.
-#[allow(clippy::too_many_arguments)]
-fn seed_range<I: ArenaIndex>(
-    g: &CsrGraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    lo: usize,
-    hi: usize,
-    pool: &Arc<ArenaPool>,
-    span: &SpanHandle,
-) -> Vec<Result<GraphPartitionResult, PartitionError>> {
-    if hi - lo <= 1 {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(lo as u64);
-        let rspan = if cfg!(feature = "trace") {
-            span.child_indexed("run", lo as u64)
-        } else {
-            Span::noop()
-        };
-        let scope = rspan.handle();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut driver = MultilevelDriver::with_pool(c, Arc::clone(pool));
-            driver.set_trace_parent(scope.clone());
-            let r = partition_graph_with(&mut driver, g, k);
-            if let Ok(res) = &r {
-                record_run_counters(&scope, &res.stats, driver.arena_stats());
-            }
-            r
-        }))
-        .unwrap_or_else(|p| Err(PartitionError::Worker(panic_message(p))));
-        return vec![result];
-    }
-    let mid = lo + (hi - lo) / 2;
-    let (mut left, mut right) = rayon::join(
-        || seed_range(g, k, cfg, lo, mid, pool, span),
-        || seed_range(g, k, cfg, mid, hi, pool, span),
-    );
-    left.append(&mut right);
-    left
+    best_of_seeds(cfg, runs, pool, parent, |driver| {
+        partition_graph_with(driver, g, k)
+    })
 }
 
 #[cfg(test)]
@@ -465,6 +382,11 @@ mod tests {
     use super::*;
     use crate::testutil::{random_graph, two_cliques};
     use fgh_partition::refine::BisectionState;
+
+    fn best_of(g: &CsrGraph, k: u32, cfg: &PartitionConfig, runs: usize) -> GraphPartitionResult {
+        let pool = Arc::new(ArenaPool::new());
+        partition_graph_best_traced_in(g, k, cfg, runs, &pool, &SpanHandle::noop()).unwrap()
+    }
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -538,7 +460,7 @@ mod tests {
         let g = random_graph(400, 800, 7);
         let cfg = PartitionConfig::with_seed(1);
         let single = partition_graph(&g, 8, &cfg).unwrap();
-        let best = partition_graph_best(&g, 8, &cfg, 4).unwrap();
+        let best = best_of(&g, 8, &cfg, 4);
         assert!(best.edge_cut <= single.edge_cut);
     }
 
@@ -661,8 +583,8 @@ mod tests {
             parallelism: Parallelism::Threads(4),
             ..PartitionConfig::with_seed(6)
         };
-        let best_serial = partition_graph_best(&g, 8, &PartitionConfig::with_seed(6), 4).unwrap();
-        let best_par = partition_graph_best(&g, 8, &best_cfg, 4).unwrap();
+        let best_serial = best_of(&g, 8, &PartitionConfig::with_seed(6), 4);
+        let best_par = best_of(&g, 8, &best_cfg, 4);
         assert_eq!(best_serial.parts, best_par.parts);
         assert_eq!(best_serial.edge_cut, best_par.edge_cut);
     }

@@ -640,7 +640,8 @@ impl MultilevelDriver {
     ///
     /// Under a parallel [`crate::Parallelism`] setting this builds a
     /// fork-join pool and runs independent subtrees concurrently; results
-    /// are bit-identical to a serial run (see [`node_seed`]). When the
+    /// are bit-identical to a serial run (each recursion node seeds its
+    /// RNG from its own identity, never from the schedule). When the
     /// caller is already inside a pool (a multi-seed fan-out), no nested
     /// pool is built — subtree forks draw from the outer pool's threads.
     pub fn partition_recursive<S: Substrate + Send + Sync>(

@@ -20,9 +20,14 @@
 //!   they are respected through coarsening, initial partitioning and
 //!   refinement.
 //!
-//! Entry points: [`partition_hypergraph`] for one run,
-//! [`partition_hypergraph_best`] for the paper's multi-seed protocol
-//! (PaToH was run 50 times per instance; seeds run in parallel here).
+//! Entry points: [`partition_hypergraph`] for one run (with
+//! [`partition_hypergraph_with`] for a caller-owned driver and fixed
+//! vertices, and [`partition_hypergraph_traced`] under a trace scope),
+//! [`partition_hypergraph_best_traced_in`] for the paper's multi-seed
+//! protocol (PaToH was run 50 times per instance; seeds run in parallel
+//! here), and [`partition_hypergraph_seeds`] for every seed's result.
+//! [`best_of_seeds`] is the one seed fan-out and best-pick behind the
+//! multi-seed protocol, shared with the graph partitioner in `fgh-graph`.
 //!
 //! ## The unified engine
 //!
@@ -78,13 +83,9 @@ pub use connectivity::{NaiveConnectivity, NetConnectivity};
 pub use engine::{MultilevelDriver, RecursiveOutcome, Substrate};
 pub use error::PartitionError;
 pub use level::{EngineStats, Level};
-pub use parallel::{
-    partition_hypergraph_seeds, partition_hypergraph_seeds_traced,
-    partition_hypergraph_seeds_traced_in, record_run_counters,
-};
+pub use parallel::{best_of_seeds, partition_hypergraph_seeds, SeedRun};
 pub use recursive::{
-    partition_hypergraph, partition_hypergraph_best, partition_hypergraph_best_traced,
-    partition_hypergraph_best_traced_in, partition_hypergraph_fixed, partition_hypergraph_traced,
+    partition_hypergraph, partition_hypergraph_best_traced_in, partition_hypergraph_traced,
     partition_hypergraph_with, PartitionResult,
 };
 

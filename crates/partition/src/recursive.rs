@@ -10,20 +10,22 @@
 //! (`u32` by default, `u64` for instances whose pin counts overflow
 //! `u32`); the partition itself always carries `u32` part ids.
 
+use std::sync::Arc;
+
 use fgh_hypergraph::{
     cutsize_connectivity, cutsize_cutnet, Hypergraph, HypergraphError, Partition,
 };
+use fgh_trace::SpanHandle;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use fgh_trace::SpanHandle;
-
-use crate::arena::ArenaIndex;
+use crate::arena::{ArenaIndex, ArenaPool};
 use crate::config::PartitionConfig;
 use crate::engine::MultilevelDriver;
 use crate::error::PartitionError;
 use crate::kway::kway_refine;
 use crate::level::EngineStats;
+use crate::parallel::{best_of_seeds, record_run_counters};
 
 /// Outcome of a K-way partitioning run.
 #[derive(Debug, Clone)]
@@ -64,7 +66,7 @@ pub fn partition_hypergraph<I: ArenaIndex>(
     k: u32,
     cfg: &PartitionConfig,
 ) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_fixed(hg, k, None, cfg)
+    partition_hypergraph_with(&mut MultilevelDriver::new(cfg.clone()), hg, k, None)
 }
 
 /// [`partition_hypergraph`] recording under a trace scope: the multilevel
@@ -83,26 +85,16 @@ pub fn partition_hypergraph_traced<I: ArenaIndex>(
     driver.set_trace_parent(parent.clone());
     let r = partition_hypergraph_with(&mut driver, hg, k, None);
     if let Ok(res) = &r {
-        crate::parallel::record_run_counters(parent, &res.stats, driver.arena_stats());
+        record_run_counters(parent, &res.stats, driver.arena_stats());
     }
     r
 }
 
-/// Like [`partition_hypergraph`], with optional pre-assigned vertices:
-/// `fixed[v] = part` pins vertex `v`, `fixed[v] = u32::MAX` leaves it free.
-pub fn partition_hypergraph_fixed<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    fixed: Option<&[u32]>,
-    cfg: &PartitionConfig,
-) -> Result<PartitionResult, PartitionError> {
-    let mut driver = MultilevelDriver::new(cfg.clone());
-    partition_hypergraph_with(&mut driver, hg, k, fixed)
-}
-
-/// Like [`partition_hypergraph_fixed`], but running on a caller-supplied
-/// [`MultilevelDriver`] — the driver's arena and instrumentation persist
-/// across calls, so repeated partitioning reuses all scratch buffers.
+/// Like [`partition_hypergraph`], but running on a caller-supplied
+/// [`MultilevelDriver`] (its arena and instrumentation persist across
+/// calls, so repeated partitioning reuses all scratch buffers), with
+/// optional pre-assigned vertices: `fixed[v] = part` pins vertex `v`,
+/// `fixed[v] = u32::MAX` leaves it free.
 pub fn partition_hypergraph_with<I: ArenaIndex>(
     driver: &mut MultilevelDriver,
     hg: &Hypergraph<I>,
@@ -170,83 +162,24 @@ pub fn partition_hypergraph_with<I: ArenaIndex>(
     })
 }
 
-/// Runs [`partition_hypergraph`] with `runs` different seeds — fanned out
-/// over threads per `cfg.parallelism` — and returns the best balanced
-/// result by connectivity−1 cutsize, following the paper's 50-seed
-/// protocol. A panicking seed becomes a `PartitionError::Worker` value;
-/// the surviving seeds still compete for the best result.
-pub fn partition_hypergraph_best<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_best_traced(hg, k, cfg, runs, &SpanHandle::noop())
-}
-
-/// [`partition_hypergraph_best`] recording under a trace scope: each seed
-/// gets a `run[offset]` child span of `parent` carrying the run's
-/// engine/arena counters, with the multilevel phase spans nested inside
-/// (requires the `trace` cargo feature to record anything).
-pub fn partition_hypergraph_best_traced<I: ArenaIndex>(
-    hg: &Hypergraph<I>,
-    k: u32,
-    cfg: &PartitionConfig,
-    runs: usize,
-    parent: &SpanHandle,
-) -> Result<PartitionResult, PartitionError> {
-    partition_hypergraph_best_traced_in(
-        hg,
-        k,
-        cfg,
-        runs,
-        &std::sync::Arc::new(crate::arena::ArenaPool::new()),
-        parent,
-    )
-}
-
-/// [`partition_hypergraph_best_traced`] drawing every seed's scratch
-/// arena from a caller-supplied [`crate::ArenaPool`] — the session-reuse
-/// entry point: a server passes one pool for its whole lifetime so warm
-/// buffers survive across requests.
+/// Runs [`partition_hypergraph`] under seeds `cfg.seed..cfg.seed + runs`
+/// — fanned out over threads per `cfg.parallelism` — and returns the best
+/// balanced result by connectivity−1 cutsize, following the paper's
+/// 50-seed protocol (see [`best_of_seeds`]). Every seed draws its scratch
+/// arena from `pool`, so a server passing one pool for its whole lifetime
+/// keeps warm buffers across requests; each seed records under a
+/// `run[offset]` child span of `parent`.
 pub fn partition_hypergraph_best_traced_in<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,
     cfg: &PartitionConfig,
     runs: usize,
-    pool: &std::sync::Arc<crate::arena::ArenaPool>,
+    pool: &Arc<ArenaPool>,
     parent: &SpanHandle,
 ) -> Result<PartitionResult, PartitionError> {
-    let results =
-        crate::parallel::partition_hypergraph_seeds_traced_in(hg, k, cfg, runs, pool, parent);
-    let mut best: Option<PartitionResult> = None;
-    let mut first_err: Option<PartitionError> = None;
-    for r in results {
-        match r {
-            Ok(res) => {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        // Prefer balanced results, then lower cutsize.
-                        let rb = res.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-                        let bb = b.imbalance_percent <= cfg.epsilon * 100.0 + 1e-9;
-                        (rb, std::cmp::Reverse(res.cutsize)) > (bb, std::cmp::Reverse(b.cutsize))
-                    }
-                };
-                if better {
-                    best = Some(res);
-                }
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match best {
-        Some(b) => Ok(b),
-        None => {
-            Err(first_err
-                .unwrap_or_else(|| PartitionError::Worker("no seed produced a result".into())))
-        }
-    }
+    best_of_seeds(cfg, runs, pool, parent, |driver| {
+        partition_hypergraph_with(driver, hg, k, None)
+    })
 }
 
 #[cfg(test)]
@@ -329,8 +262,8 @@ mod tests {
         fixed[0] = 3;
         fixed[10] = 0;
         fixed[20] = 2;
-        let r = partition_hypergraph_fixed(&hg, 4, Some(&fixed), &PartitionConfig::with_seed(2))
-            .unwrap();
+        let mut driver = MultilevelDriver::new(PartitionConfig::with_seed(2));
+        let r = partition_hypergraph_with(&mut driver, &hg, 4, Some(&fixed)).unwrap();
         assert_eq!(r.partition.part(0), 3);
         assert_eq!(r.partition.part(10), 0);
         assert_eq!(r.partition.part(20), 2);
@@ -339,14 +272,11 @@ mod tests {
     #[test]
     fn fixed_validation() {
         let hg = two_clusters(4);
+        let mut driver = MultilevelDriver::new(PartitionConfig::default());
         let bad = vec![9u32; 8];
-        assert!(
-            partition_hypergraph_fixed(&hg, 4, Some(&bad), &PartitionConfig::default()).is_err()
-        );
+        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&bad)).is_err());
         let short = vec![u32::MAX; 3];
-        assert!(
-            partition_hypergraph_fixed(&hg, 4, Some(&short), &PartitionConfig::default()).is_err()
-        );
+        assert!(partition_hypergraph_with(&mut driver, &hg, 4, Some(&short)).is_err());
     }
 
     #[test]
@@ -354,7 +284,9 @@ mod tests {
         let hg = random_hypergraph(300, 500, 6, 4);
         let cfg = PartitionConfig::with_seed(1);
         let single = partition_hypergraph(&hg, 8, &cfg).unwrap();
-        let best = partition_hypergraph_best(&hg, 8, &cfg, 4).unwrap();
+        let pool = Arc::new(ArenaPool::new());
+        let best = partition_hypergraph_best_traced_in(&hg, 8, &cfg, 4, &pool, &SpanHandle::noop())
+            .unwrap();
         assert!(best.cutsize <= single.cutsize);
     }
 

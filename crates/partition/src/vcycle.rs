@@ -315,7 +315,9 @@ mod tests {
         let mut fixed = vec![u32::MAX; 200];
         fixed[0] = 1;
         fixed[5] = 3;
-        let r = crate::recursive::partition_hypergraph_fixed(&hg, 4, Some(&fixed), &cfg).unwrap();
+        let mut driver = crate::engine::MultilevelDriver::new(cfg.clone());
+        let r =
+            crate::recursive::partition_hypergraph_with(&mut driver, &hg, 4, Some(&fixed)).unwrap();
         let mut p = r.partition;
         vcycle_refine(&hg, &mut p, &fixed, &cfg, 2).unwrap();
         assert_eq!(p.part(0), 1);

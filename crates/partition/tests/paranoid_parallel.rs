@@ -9,8 +9,11 @@
 //! Build with `cargo test -p fgh-partition --features paranoid`.
 #![cfg(feature = "paranoid")]
 
+use std::sync::Arc;
+
 use fgh_hypergraph::Hypergraph;
-use fgh_partition::{partition_hypergraph_seeds, Parallelism, PartitionConfig};
+use fgh_partition::{partition_hypergraph_seeds, ArenaPool, Parallelism, PartitionConfig};
+use fgh_trace::SpanHandle;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +45,8 @@ fn parallel_driver_passes_invariant_validators() {
     };
     // 4 seeds x K=8 forks both the multi-seed fan-out and the in-tree
     // recursive-bisection parallelism, with paranoid checkpoints armed.
-    let results = partition_hypergraph_seeds(&hg, 8, &cfg, 4);
+    let pool = Arc::new(ArenaPool::new());
+    let results = partition_hypergraph_seeds(&hg, 8, &cfg, 4, &pool, &SpanHandle::noop());
     assert_eq!(results.len(), 4);
     for r in results {
         let r = r.expect("paranoid parallel run failed");

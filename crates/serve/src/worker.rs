@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use fgh_core::report::{metrics_document, spgemm_metrics_document};
 use fgh_core::{
-    decompose_workload_any_in, Budget, CancelToken, DecompositionOutcome, EngineSession, FghError,
-    JobParams, Model, SpgemmOutcome, WorkloadAny,
+    decompose_workload_any_in, Budget, CancelToken, DecomposeConfig, DecompositionOutcome,
+    EngineSession, FghError, Model, SpgemmOutcome, WorkloadAny, WorkloadOutcome,
 };
 use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 use fgh_sparse::io::parse_matrix_market_bytes_any;
@@ -228,6 +228,36 @@ fn apply_injection(fault_injection: bool, req: &DecomposeRequest, cancel: &Cance
     }
 }
 
+/// The one place a request becomes a [`DecomposeConfig`]: its model, K,
+/// ε, seed, runs, budget and cancel token, under the session's policy
+/// (see [`EngineSession::configure`]). An unknown model name is a
+/// `bad-request` response.
+fn request_config(
+    session: &EngineSession,
+    req: &DecomposeRequest,
+    cancel: &CancelToken,
+) -> Result<DecomposeConfig, Value> {
+    let model: Model = req
+        .model
+        .parse()
+        .map_err(|e: String| error_response(codes::BAD_REQUEST, &e, None))?;
+    let mut budget = Budget::UNLIMITED;
+    if let Some(ms) = req.budget_ms {
+        budget.max_wall = Some(Duration::from_millis(ms));
+    }
+    if let Some(bytes) = req.budget_bytes {
+        budget.max_bytes = Some(bytes.min(usize::MAX as u64) as usize); // min-clamp makes the u64 -> usize conversion lossless
+    }
+    Ok(session.configure(
+        DecomposeConfig::new(model, req.k)
+            .with_epsilon(req.epsilon)
+            .with_seed(req.seed)
+            .with_runs(req.runs)
+            .with_budget(budget)
+            .with_cancel(cancel.clone()),
+    ))
+}
+
 /// Runs one job to a response [`Value`]. Never panics on well-behaved
 /// engine code; deliberate fault injection panics are the caller's
 /// `catch_unwind` business.
@@ -253,9 +283,9 @@ pub fn execute_job(
         Ok(a) => a,
         Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
     };
-    let model: Model = match req.model.parse() {
-        Ok(m) => m,
-        Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
+    let cfg = match request_config(session, req, cancel) {
+        Ok(cfg) => cfg,
+        Err(response) => return response,
     };
 
     let key = cache_key(req);
@@ -276,21 +306,9 @@ pub fn execute_job(
         cache.quarantine(key);
     }
 
-    let mut budget = Budget::UNLIMITED;
-    if let Some(ms) = req.budget_ms {
-        budget.max_wall = Some(Duration::from_millis(ms));
-    }
-    if let Some(bytes) = req.budget_bytes {
-        budget.max_bytes = Some(bytes.min(usize::MAX as u64) as usize); // min-clamp makes the u64 -> usize conversion lossless
-    }
-    let params = JobParams::new(model, req.k)
-        .with_epsilon(req.epsilon)
-        .with_seed(req.seed)
-        .with_runs(req.runs)
-        .with_budget(budget)
-        .with_cancel(cancel.clone());
-
-    match session.decompose_any(&a, params) {
+    let out = decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, session.pool())
+        .and_then(WorkloadOutcome::into_spmv);
+    match out {
         Ok(out) => {
             if out.engine.cancelled() {
                 ServeCounters::bump(&counters.cancelled_jobs);
@@ -367,24 +385,10 @@ pub fn execute_workload(
         Ok(a) => a,
         Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
     };
-    let model: Model = match req.model.parse() {
-        Ok(m) => m,
-        Err(e) => return error_response(codes::BAD_REQUEST, &e, None),
+    let cfg = match request_config(session, req, cancel) {
+        Ok(cfg) => cfg,
+        Err(response) => return response,
     };
-    let mut budget = Budget::UNLIMITED;
-    if let Some(ms) = req.budget_ms {
-        budget.max_wall = Some(Duration::from_millis(ms));
-    }
-    if let Some(bytes) = req.budget_bytes {
-        budget.max_bytes = Some(bytes.min(usize::MAX as u64) as usize); // min-clamp makes the u64 -> usize conversion lossless
-    }
-    let params = JobParams::new(model, req.k)
-        .with_epsilon(req.epsilon)
-        .with_seed(req.seed)
-        .with_runs(req.runs)
-        .with_budget(budget)
-        .with_cancel(cancel.clone());
-    let cfg = params.into_config(session);
 
     let mut doc = BTreeMap::new();
     doc.insert("ok".into(), Value::Bool(true));
@@ -405,7 +409,7 @@ pub fn execute_workload(
             None => &a, // default: the A·A product
         };
         let out = decompose_workload_any_in(WorkloadAny::Spgemm(&a, b), &cfg, session.pool())
-            .and_then(fgh_core::WorkloadOutcome::into_spgemm);
+            .and_then(WorkloadOutcome::into_spgemm);
         let out = match out {
             Ok(o) => o,
             Err(e) => return fgh_error_response(&e),
@@ -446,7 +450,7 @@ pub fn execute_workload(
         doc.insert("traffic".into(), traffic);
     } else {
         let out = decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, session.pool())
-            .and_then(fgh_core::WorkloadOutcome::into_spmv);
+            .and_then(WorkloadOutcome::into_spmv);
         let out = match out {
             Ok(o) => o,
             Err(e) => return fgh_error_response(&e),

@@ -46,8 +46,6 @@ pub use fgh_spmv as spmv;
 
 /// Commonly used items, re-exported for one-line imports.
 pub mod prelude {
-    #[allow(deprecated)] // re-exported through its one deprecation cycle
-    pub use fgh_core::decompose;
     pub use fgh_core::{
         decompose_workload, decompose_workload_any, Budget, CommStats, DecomposeConfig,
         Decomposition, DecompositionOutcome, DecompositionStatus, EngineStats, ErrorCategory,
@@ -56,7 +54,7 @@ pub mod prelude {
     pub use fgh_hypergraph::{
         cutsize_connectivity, cutsize_cutnet, Hypergraph, HypergraphBuilder, Partition,
     };
-    pub use fgh_partition::{partition_hypergraph, partition_hypergraph_best, PartitionConfig};
+    pub use fgh_partition::{partition_hypergraph, PartitionConfig};
     pub use fgh_sparse::gen::ValueMode;
     pub use fgh_sparse::{CooMatrix, CscMatrix, CsrMatrix, MatrixStats};
     pub use fgh_spmv::{DistributedSpmv, MeasuredComm};
