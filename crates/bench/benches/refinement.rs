@@ -1,5 +1,5 @@
 //! Microbenchmarks of the partitioner's inner loops: coarsening,
-//! FM refinement (full vs boundary), and K-way refinement.
+//! an FM pass, and K-way refinement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fgh_core::models::FineGrainModel;
@@ -64,13 +64,6 @@ fn bench_fm(c: &mut Criterion) {
         b.iter(|| {
             let mut st = BisectionState::new(hg, sides.clone(), &fixed, [half, half], 0.03);
             black_box(st.fm_pass(&mut rng, 0))
-        })
-    });
-    group.bench_function("boundary", |b| {
-        let mut rng = SmallRng::seed_from_u64(2);
-        b.iter(|| {
-            let mut st = BisectionState::new(hg, sides.clone(), &fixed, [half, half], 0.03);
-            black_box(st.fm_pass_boundary(&mut rng, 0))
         })
     });
     group.finish();

@@ -66,19 +66,14 @@ impl CheckerboardHgModel {
         self.q
     }
 
-    /// Decomposes `a` into a `P x Q` checkerboard [`Decomposition`].
-    pub fn decompose(&self, a: &CsrMatrix, cfg: &PartitionConfig) -> Result<Decomposition> {
-        self.decompose_traced(a, cfg, &SpanHandle::noop())
-            .map(|(d, _)| d)
-    }
-
-    /// [`CheckerboardHgModel::decompose`] with engine instrumentation and
-    /// trace recording. The returned [`EngineStats`] accumulate both
-    /// phases: the multilevel counters of the phase-1 row partitioning,
-    /// plus the phase-2 multi-constraint partitioner's counters in
-    /// multilevel vocabulary (greedy placement as initial partitioning,
-    /// refinement sweeps as FM passes, accepted moves as FM moves;
-    /// coarsening counters stay untouched because the scheme is direct).
+    /// Decomposes `a` into a `P x Q` checkerboard [`Decomposition`], with
+    /// engine instrumentation and trace recording. The returned
+    /// [`EngineStats`] accumulate both phases: the multilevel counters of
+    /// the phase-1 row partitioning, plus the phase-2 multi-constraint
+    /// partitioner's counters in multilevel vocabulary (greedy placement as
+    /// initial partitioning, refinement sweeps as FM passes, accepted moves
+    /// as FM moves; coarsening counters stay untouched because the scheme
+    /// is direct).
     /// Under an enabled `parent` scope the phases record as `rows` and
     /// `cols` spans, with the multilevel spans nested inside `rows`.
     pub fn decompose_traced(
@@ -173,7 +168,10 @@ mod tests {
     fn decompose_valid() {
         let a = matrix();
         let m = CheckerboardHgModel::new(6, 0.15).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(1)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(1), &SpanHandle::noop())
+            .unwrap()
+            .0;
         d.validate(&a).unwrap();
         assert_eq!(d.k, 6);
     }
@@ -211,7 +209,10 @@ mod tests {
         // processor column.
         let a = matrix();
         let m = CheckerboardHgModel::with_grid(2, 3, 0.2).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(2)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(2), &SpanHandle::noop())
+            .unwrap()
+            .0;
         let q = 3u32;
         let mut stripe_of_row = vec![u32::MAX; a.nrows() as usize];
         let mut group_of_col = vec![u32::MAX; a.nrows() as usize];
@@ -232,7 +233,10 @@ mod tests {
     fn message_bound_p_plus_q_minus_2() {
         let a = matrix();
         let m = CheckerboardHgModel::with_grid(3, 3, 0.2).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(3)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(3), &SpanHandle::noop())
+            .unwrap()
+            .0;
         let s = CommStats::compute(&a, &d).unwrap();
         let bound = (m.p() - 1 + m.q() - 1) as u64;
         assert!(
@@ -246,7 +250,10 @@ mod tests {
     fn cells_are_balanced() {
         let a = matrix();
         let m = CheckerboardHgModel::with_grid(2, 2, 0.20).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(4)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(4), &SpanHandle::noop())
+            .unwrap()
+            .0;
         // Two-phase balance compounds; just require sanity (< 60%).
         assert!(
             d.load_imbalance_percent() <= 60.0,
@@ -261,7 +268,10 @@ mod tests {
         // should not lose to the volume-oblivious block checkerboard.
         let a = matrix();
         let m = CheckerboardHgModel::new(4, 0.2).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(5)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(5), &SpanHandle::noop())
+            .unwrap()
+            .0;
         let v_hg = CommStats::compute(&a, &d).unwrap().total_volume();
         let cb = crate::models::CheckerboardModel::build(&a, 4).unwrap();
         let v_cb = CommStats::compute(&a, &cb.decode(&a).unwrap())
@@ -274,14 +284,17 @@ mod tests {
     fn k1_and_rectangular() {
         let a = matrix();
         let m = CheckerboardHgModel::new(1, 0.1).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::default()).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::default(), &SpanHandle::noop())
+            .unwrap()
+            .0;
         assert_eq!(CommStats::compute(&a, &d).unwrap().total_volume(), 0);
         let rect = CsrMatrix::from_coo(
             fgh_sparse::CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0)]).unwrap(),
         );
         assert!(CheckerboardHgModel::new(2, 0.1)
             .unwrap()
-            .decompose(&rect, &PartitionConfig::default())
+            .decompose_traced(&rect, &PartitionConfig::default(), &SpanHandle::noop())
             .is_err());
     }
 }

@@ -61,17 +61,12 @@ impl JaggedModel {
         self.q
     }
 
-    /// Decomposes `a` into a `P x Q` jagged 2D [`Decomposition`].
-    pub fn decompose(&self, a: &CsrMatrix, cfg: &PartitionConfig) -> Result<Decomposition> {
-        self.decompose_traced(a, cfg, &SpanHandle::noop())
-            .map(|(d, _)| d)
-    }
-
-    /// [`JaggedModel::decompose`] with engine instrumentation and trace
-    /// recording. The returned [`EngineStats`] merge the phase-1 row
-    /// partitioning and every per-stripe column partitioning. Under an
-    /// enabled `parent` scope the phases record as a `rows` span and
-    /// `stripe[s]` spans with the multilevel spans nested inside.
+    /// Decomposes `a` into a `P x Q` jagged 2D [`Decomposition`], with
+    /// engine instrumentation and trace recording. The returned
+    /// [`EngineStats`] merge the phase-1 row partitioning and every
+    /// per-stripe column partitioning. Under an enabled `parent` scope the
+    /// phases record as a `rows` span and `stripe[s]` spans with the
+    /// multilevel spans nested inside.
     pub fn decompose_traced(
         &self,
         a: &CsrMatrix,
@@ -224,7 +219,10 @@ mod tests {
         let a = matrix();
         let m = JaggedModel::new(6, 0.1).unwrap();
         assert_eq!((m.p(), m.q()), (2, 3));
-        let d = m.decompose(&a, &PartitionConfig::with_seed(1)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(1), &SpanHandle::noop())
+            .unwrap()
+            .0;
         d.validate(&a).unwrap();
         assert_eq!(d.k, 6);
     }
@@ -234,7 +232,10 @@ mod tests {
         // All nonzeros of a row land in the same processor row (stripe).
         let a = matrix();
         let m = JaggedModel::with_grid(2, 2, 0.1).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(2)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(2), &SpanHandle::noop())
+            .unwrap()
+            .0;
         let mut stripe_of_row = vec![u32::MAX; a.nrows() as usize];
         for (e, (i, _, _)) in a.iter().enumerate() {
             let s = d.nonzero_owner[e] / 2;
@@ -252,7 +253,10 @@ mod tests {
         // worse) on a hub-heavy matrix.
         let a = matrix();
         let m = JaggedModel::new(8, 0.1).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(3)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(3), &SpanHandle::noop())
+            .unwrap()
+            .0;
         let v_j = CommStats::compute(&a, &d).unwrap().total_volume();
         let out = crate::workload::decompose_workload(
             crate::workload::Workload::Spmv(&a),
@@ -272,12 +276,18 @@ mod tests {
     fn k1_trivial_and_degenerate_grids() {
         let a = matrix();
         let m = JaggedModel::new(1, 0.1).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::default()).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::default(), &SpanHandle::noop())
+            .unwrap()
+            .0;
         assert!(d.nonzero_owner.iter().all(|&p| p == 0));
         // P = 1 (pure columnwise) and Q = 1 (pure rowwise) degenerate cases.
         for (p, q) in [(1u32, 4u32), (4, 1)] {
             let m = JaggedModel::with_grid(p, q, 0.1).unwrap();
-            let d = m.decompose(&a, &PartitionConfig::with_seed(5)).unwrap();
+            let d = m
+                .decompose_traced(&a, &PartitionConfig::with_seed(5), &SpanHandle::noop())
+                .unwrap()
+                .0;
             d.validate(&a).unwrap();
         }
     }
@@ -286,7 +296,10 @@ mod tests {
     fn balanced_loads() {
         let a = matrix();
         let m = JaggedModel::new(4, 0.05).unwrap();
-        let d = m.decompose(&a, &PartitionConfig::with_seed(6)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(6), &SpanHandle::noop())
+            .unwrap()
+            .0;
         assert!(
             d.load_imbalance_percent() <= 25.0,
             "imbalance {}% (two-phase balance compounds)",
@@ -300,6 +313,8 @@ mod tests {
             fgh_sparse::CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0)]).unwrap(),
         );
         let m = JaggedModel::new(2, 0.1).unwrap();
-        assert!(m.decompose(&a, &PartitionConfig::default()).is_err());
+        assert!(m
+            .decompose_traced(&a, &PartitionConfig::default(), &SpanHandle::noop())
+            .is_err());
     }
 }

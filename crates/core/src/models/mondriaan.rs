@@ -42,18 +42,12 @@ impl MondriaanModel {
         MondriaanModel { k, epsilon }
     }
 
-    /// Decomposes `a`, returning the 2D [`Decomposition`].
-    pub fn decompose(&self, a: &CsrMatrix, cfg: &PartitionConfig) -> Result<Decomposition> {
-        self.decompose_traced(a, cfg, &SpanHandle::noop())
-            .map(|(d, _)| d)
-    }
-
-    /// [`MondriaanModel::decompose`] with engine instrumentation and trace
-    /// recording. All matrix bisections run on **one** reused
-    /// [`MultilevelDriver`], so the returned [`EngineStats`] aggregate the
-    /// whole recursion (every level's coarsening/FM work, summed). Under
-    /// an enabled `parent` scope each recursion node records a
-    /// `bisect[part_lo]` span with the cuts of both candidate directions.
+    /// Decomposes `a` into a 2D [`Decomposition`], with engine
+    /// instrumentation and trace recording. All matrix bisections run on
+    /// **one** reused [`MultilevelDriver`], so the returned [`EngineStats`]
+    /// aggregate the whole recursion (every level's coarsening/FM work,
+    /// summed). Under an enabled `parent` scope each recursion node records
+    /// a `bisect[part_lo]` span with the cuts of both candidate directions.
     pub fn decompose_traced(
         &self,
         a: &CsrMatrix,
@@ -260,7 +254,10 @@ mod tests {
     fn decompose_valid_and_balanced() {
         let a = matrix();
         let m = MondriaanModel::new(4, 0.03);
-        let d = m.decompose(&a, &PartitionConfig::with_seed(1)).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(1), &SpanHandle::noop())
+            .unwrap()
+            .0;
         d.validate(&a).unwrap();
         assert!(
             d.load_imbalance_percent() <= 6.0,
@@ -273,7 +270,10 @@ mod tests {
     fn k1_trivial() {
         let a = matrix();
         let m = MondriaanModel::new(1, 0.03);
-        let d = m.decompose(&a, &PartitionConfig::default()).unwrap();
+        let d = m
+            .decompose_traced(&a, &PartitionConfig::default(), &SpanHandle::noop())
+            .unwrap()
+            .0;
         assert!(d.nonzero_owner.iter().all(|&p| p == 0));
         let s = CommStats::compute(&a, &d).unwrap();
         assert_eq!(s.total_volume(), 0);
@@ -288,7 +288,10 @@ mod tests {
         let mut oned = 0u64;
         for seed in 0..3u64 {
             let m = MondriaanModel::new(8, 0.03);
-            let d = m.decompose(&a, &PartitionConfig::with_seed(seed)).unwrap();
+            let d = m
+                .decompose_traced(&a, &PartitionConfig::with_seed(seed), &SpanHandle::noop())
+                .unwrap()
+                .0;
             mond += CommStats::compute(&a, &d).unwrap().total_volume();
             let out = crate::workload::decompose_workload(
                 crate::workload::Workload::Spmv(&a),
@@ -328,7 +331,7 @@ mod tests {
             fgh_sparse::CooMatrix::from_triplets(2, 3, vec![(0, 0, 1.0)]).unwrap(),
         );
         assert!(MondriaanModel::new(2, 0.03)
-            .decompose(&a, &PartitionConfig::default())
+            .decompose_traced(&a, &PartitionConfig::default(), &SpanHandle::noop())
             .is_err());
     }
 
@@ -336,8 +339,14 @@ mod tests {
     fn determinism() {
         let a = matrix();
         let m = MondriaanModel::new(4, 0.03);
-        let d1 = m.decompose(&a, &PartitionConfig::with_seed(9)).unwrap();
-        let d2 = m.decompose(&a, &PartitionConfig::with_seed(9)).unwrap();
+        let d1 = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(9), &SpanHandle::noop())
+            .unwrap()
+            .0;
+        let d2 = m
+            .decompose_traced(&a, &PartitionConfig::with_seed(9), &SpanHandle::noop())
+            .unwrap()
+            .0;
         assert_eq!(d1, d2);
     }
 }

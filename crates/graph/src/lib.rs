@@ -3,7 +3,7 @@
 //! The *standard graph model* baseline the paper compares against: a
 //! weighted undirected graph is partitioned with the classic multilevel
 //! scheme (heavy-edge matching coarsening, greedy graph growing initial
-//! partitioning, Kernighan–Lin/Fiduccia–Mattheyses boundary refinement,
+//! partitioning, Kernighan–Lin/Fiduccia–Mattheyses refinement,
 //! recursive bisection), minimizing *edge cut* under a balance constraint.
 //!
 //! The edge cut only *approximates* SpMV communication volume — that

@@ -2,7 +2,7 @@
 //!
 //! [`CsrGraph`] implements [`Substrate`], so the MeTiS-style baseline —
 //! heavy-connectivity clustering coarsening, greedy graph growing, FM
-//! boundary refinement, recursive bisection — runs on the exact same
+//! refinement, recursive bisection — runs on the exact same
 //! [`MultilevelDriver`] as the hypergraph partitioner. The substrate
 //! differences are small: the cut is the edge cut (no per-net pin counts
 //! needed — gains recompute from the adjacency), contraction merges
@@ -131,11 +131,6 @@ impl<I: ArenaIndex> Substrate for CsrGraph<I> {
             }
         }
         g
-    }
-
-    fn is_boundary(&self, _cs: &(), side: &[u8], v: I) -> bool {
-        let s = side[v.index()];
-        self.neighbors(v).iter().any(|&u| side[u.index()] != s)
     }
 
     fn apply_move(&self, _cs: &mut (), side: &[u8], v: I, cut: &mut u64) {

@@ -22,6 +22,11 @@ use crate::level::Level;
 /// Free (not fixed to any side) marker in fixed-side vectors.
 pub const FREE: i8 = -1;
 
+/// Nets larger than this are skipped during the engine's coarsening
+/// neighbor scans (they contribute little structural signal and cost
+/// O(size²)).
+pub(crate) const MAX_NET_SIZE_FOR_MATCHING: usize = 64;
+
 /// Result of one coarsening level of a hypergraph (the historical name;
 /// the engine uses [`Level`] over any substrate).
 pub type CoarseLevel = Level<Hypergraph>;

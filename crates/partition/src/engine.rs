@@ -37,11 +37,11 @@ use fgh_trace::{Span, SpanHandle};
 
 use crate::arena::{ArenaIndex, ArenaPool, LevelArena};
 use crate::cancel::{CancelToken, SharedDeadline};
-use crate::coarsen::{coarsen_once_in, FREE};
-use crate::config::PartitionConfig;
-use crate::initial::initial_best_in;
+use crate::coarsen::{coarsen_once_in, FREE, MAX_NET_SIZE_FOR_MATCHING};
+use crate::config::{InitialScheme, PartitionConfig};
+use crate::initial::{initial_best_in, INITIAL_TRIES};
 use crate::level::{EngineStats, Level, StageTimer};
-use crate::refine::BisectionState;
+use crate::refine::{BisectionState, FM_EARLY_EXIT};
 
 /// The structure a multilevel partitioner runs on: vertices with weights,
 /// an incidence structure that defines cut and FM gains, and the
@@ -84,8 +84,6 @@ pub trait Substrate: Sized {
     fn recycle_cut_state(cs: Self::CutState, arena: &mut LevelArena);
     /// FM gain of moving `v` to the opposite side.
     fn gain(&self, cs: &Self::CutState, side: &[u8], v: Self::Ix) -> i64;
-    /// `true` if `v` touches the cut.
-    fn is_boundary(&self, cs: &Self::CutState, side: &[u8], v: Self::Ix) -> bool;
     /// Applies the cut/bookkeeping effects of moving `v` to the opposite
     /// side; the caller flips `side[v]` and the side weights afterwards.
     /// Counter-only form — rollbacks and replay paths that do not keep
@@ -272,23 +270,17 @@ impl MultilevelDriver {
     /// (`bisect[part] → coarsen[level] / initial / refine[level] →
     /// fm-pass[i]`) are recorded as children of `span`. Forked workers
     /// inherit the scope through per-domain child spans, so parallel
-    /// traces stitch under the same parent. Requires the `trace` cargo
-    /// feature; without it the span sites compile to no-ops and this
-    /// setter has no observable effect.
+    /// traces stitch under the same parent.
     pub fn set_trace_parent(&mut self, span: SpanHandle) {
         self.span = span;
     }
 
     /// Opens a child span under this driver's trace scope — a noop span
-    /// unless the `trace` feature is on *and* a real scope was attached.
+    /// unless a real scope was attached.
     fn trace_child(&self, name: &'static str, index: Option<u64>) -> Span {
-        if cfg!(feature = "trace") {
-            match index {
-                Some(i) => self.span.child_indexed(name, i),
-                None => self.span.child(name),
-            }
-        } else {
-            Span::noop()
+        match index {
+            Some(i) => self.span.child_indexed(name, i),
+            None => self.span.child(name),
         }
     }
 
@@ -420,8 +412,9 @@ impl MultilevelDriver {
         self.bisect_with_coords(sub, fixed, targets, epsilon, rng, None)
     }
 
-    /// [`Engine::bisect`] with optional per-vertex coordinates (indexed
-    /// by `sub`'s local vertex ids) for the geometric initial scheme.
+    /// [`MultilevelDriver::bisect`] with optional per-vertex coordinates
+    /// (indexed by `sub`'s local vertex ids) for the geometric initial
+    /// scheme.
     /// The recursion builds these from [`PartitionConfig::coords`] via
     /// its original-id maps; coordinates are projected level by level
     /// through coarsening so the coarsest substrate sees centroids.
@@ -492,7 +485,7 @@ impl MultilevelDriver {
                 cur,
                 cur_fixed,
                 self.cfg.coarsening,
-                self.cfg.max_net_size_for_matching,
+                MAX_NET_SIZE_FOR_MATCHING,
                 weight_cap,
                 rng,
                 &mut self.arena,
@@ -538,21 +531,17 @@ impl MultilevelDriver {
         let ispan = self.trace_child("initial", None);
         let timer = StageTimer::start();
         let mut sides = if self.interrupt_checkpoint() {
-            // Out of time or cancelled: one weight-only split instead of
-            // multi-try greedy growing — still balanced, no connectivity
-            // work.
-            let quick = PartitionConfig {
-                initial: crate::config::InitialScheme::BinPacking,
-                initial_tries: 1,
-                fm_passes: 0,
-                ..self.cfg.clone()
-            };
+            // Out of time or cancelled: one weight-only split (a single
+            // bin-packing try, no FM passes) instead of multi-try greedy
+            // growing — still balanced, no connectivity work.
             initial_best_in(
                 coarsest,
                 coarsest_fixed,
                 targets,
                 epsilon,
-                &quick,
+                InitialScheme::BinPacking,
+                1,
+                0,
                 None,
                 rng,
                 &mut self.arena,
@@ -564,7 +553,9 @@ impl MultilevelDriver {
                 coarsest_fixed,
                 targets,
                 epsilon,
-                &self.cfg,
+                self.cfg.initial,
+                INITIAL_TRIES,
+                self.cfg.fm_passes,
                 coarsest_coords.as_deref(),
                 rng,
                 &mut self.arena,
@@ -613,8 +604,7 @@ impl MultilevelDriver {
             st.refine_in(
                 rng,
                 passes,
-                self.cfg.fm_early_exit,
-                self.cfg.boundary_fm,
+                FM_EARLY_EXIT,
                 &mut self.arena,
                 &mut self.stats,
                 &rspan.handle(),
@@ -743,10 +733,9 @@ impl MultilevelDriver {
         // vertex space. A too-short array (caller error) degrades to the
         // GHG fallback rather than panicking mid-recursion.
         let local_coords: Option<Vec<(f32, f32)>> = match (self.cfg.initial, &self.cfg.coords) {
-            (
-                crate::config::InitialScheme::Geometric | crate::config::InitialScheme::Auto,
-                Some(c),
-            ) if c.len() >= fixed.len() => Some(ids.iter().map(|&orig| c[orig.index()]).collect()),
+            (InitialScheme::Geometric | InitialScheme::Auto, Some(c)) if c.len() >= fixed.len() => {
+                Some(ids.iter().map(|&orig| c[orig.index()]).collect())
+            }
             _ => None,
         };
 
@@ -920,13 +909,6 @@ impl<I: ArenaIndex> Substrate for Hypergraph<I> {
             }
         }
         g
-    }
-
-    fn is_boundary(&self, cs: &NetSideCounts<I>, _side: &[u8], v: I) -> bool {
-        self.nets(v).iter().any(|&n| {
-            let ni = n.index();
-            cs.pc[0][ni] > I::ZERO && cs.pc[1][ni] > I::ZERO
-        })
     }
 
     fn apply_move(&self, cs: &mut NetSideCounts<I>, side: &[u8], v: I, cut: &mut u64) {
@@ -1233,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn driver_bisect_matches_quality_of_direct_path() {
+    fn bisect_two_clusters_optimally() {
         let hg = two_clusters(200);
         let fixed = vec![FREE; 400];
         let cfg = PartitionConfig {
@@ -1248,6 +1230,66 @@ mod tests {
         assert!((194..=206).contains(&w1), "balance violated: {w1}/400");
         let st = driver.stats();
         assert!(st.bisections == 1 && st.levels > 0 && st.fm_passes > 0);
+    }
+
+    /// One default-config bisection with an RNG seeded from `seed`.
+    fn bisect(
+        hg: &Hypergraph,
+        fixed: &[i8],
+        targets: [f64; 2],
+        epsilon: f64,
+        seed: u64,
+    ) -> (Vec<u8>, u64) {
+        MultilevelDriver::new(PartitionConfig::default()).bisect(
+            hg,
+            fixed,
+            targets,
+            epsilon,
+            &mut SmallRng::seed_from_u64(seed),
+        )
+    }
+
+    #[test]
+    fn bisect_respects_balance_on_random_hypergraphs() {
+        for seed in 0..3u64 {
+            let hg = random_hypergraph(500, 800, 6, seed);
+            let (sides, _) = bisect(&hg, &[FREE; 500], [250.0, 250.0], 0.05, seed);
+            let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
+            assert!(
+                w1 <= 250.0 * 1.05 + 1.0 && (500.0 - w1) <= 250.0 * 1.05 + 1.0,
+                "seed {seed}: side weights {w1}/{}",
+                500.0 - w1
+            );
+        }
+    }
+
+    #[test]
+    fn bisect_degenerate_targets() {
+        let hg = two_clusters(10);
+        let (sides, cut) = bisect(&hg, &[FREE; 20], [20.0, 0.0], 0.03, 1);
+        assert!(sides.iter().all(|&s| s == 0));
+        assert_eq!(cut, 0);
+    }
+
+    #[test]
+    fn bisect_unbalanced_targets_respected() {
+        // 3:1 split request.
+        let hg = two_clusters(100);
+        let (sides, _) = bisect(&hg, &[FREE; 200], [150.0, 50.0], 0.05, 2);
+        let w1 = sides.iter().filter(|&&s| s == 1).count() as f64;
+        assert!(w1 <= 50.0 * 1.05 + 1.0, "side 1 too heavy: {w1}");
+        assert!(w1 >= 30.0, "side 1 suspiciously light: {w1}");
+    }
+
+    #[test]
+    fn bisect_fixed_vertices_survive_multilevel() {
+        let hg = two_clusters(100);
+        let mut fx = vec![FREE; 200];
+        fx[0] = 1;
+        fx[150] = 0;
+        let (sides, _) = bisect(&hg, &fx, [100.0, 100.0], 0.05, 3);
+        assert_eq!(sides[0], 1, "fixed vertex 0 moved");
+        assert_eq!(sides[150], 0, "fixed vertex 150 moved");
     }
 
     #[test]

@@ -16,32 +16,26 @@
 //! local optima while the geometric seed stays reproducible.
 
 use fgh_sparse::IndexType;
-use rand::Rng;
 
 use crate::arena::{ArenaIndex, LevelArena};
 use crate::coarsen::FREE;
 use crate::engine::Substrate;
-use crate::level::EngineStats;
-use crate::refine::BisectionState;
+use crate::initial::seed_sides;
 
-/// One geometric bisection try: longest-axis weighted-median sweep,
-/// followed by FM refinement. `coords[v]` is the position of *local*
-/// vertex `v` (already projected to this substrate's level).
-#[allow(clippy::too_many_arguments)]
+/// The side assignment of one geometric bisection try: a longest-axis
+/// weighted-median sweep (the caller FM-refines it). `coords[v]` is the
+/// position of *local* vertex `v` (already projected to this substrate's
+/// level).
 // lint: checked-index — coords/fixed/side all have length num_vertices and every v ranges over 0..num_vertices (engine contract, asserted by BisectionState); targets is [f64; 2] indexed by constant 0
-pub(crate) fn geometric_once<S: Substrate>(
+pub(crate) fn geometric_sides<S: Substrate>(
     sub: &S,
     coords: &[(f32, f32)],
     fixed: &[i8],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
-    rng: &mut impl Rng,
     arena: &mut LevelArena,
-    stats: &mut EngineStats,
 ) -> Vec<u8> {
     let n = sub.num_vertices();
-    let mut side = seed_sides_local(sub, fixed, arena);
+    let mut side = seed_sides(sub, fixed, arena);
     let mut order = S::Ix::take_ids(arena, 0, S::Ix::ZERO);
     order.extend(
         (0..n)
@@ -89,31 +83,6 @@ pub(crate) fn geometric_once<S: Substrate>(
         }
     }
     S::Ix::give_ids(arena, order);
-
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        false,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
-}
-
-/// Per-vertex starting side: fixed-1 vertices on side 1, the rest on 0.
-/// (Mirrors `initial::seed_sides`, which stays private to that module.)
-// lint: checked-index — fixed has length num_vertices (engine contract) and side is taken at that length; v < n
-fn seed_sides_local<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Vec<u8> {
-    let n = sub.num_vertices();
-    let mut side = arena.take_u8(n, 0);
-    for v in 0..n {
-        if fixed[v] == 1 {
-            side[v] = 1;
-        }
-    }
     side
 }
 
@@ -156,8 +125,6 @@ pub(crate) fn project_centroids<S: Substrate>(
 mod tests {
     use super::*;
     use fgh_hypergraph::Hypergraph;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     /// Two point clusters along x, connected internally: the sweep must
     /// cut between them.
@@ -178,18 +145,7 @@ mod tests {
             .collect();
         let fixed = vec![FREE; 8];
         let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [4.0, 4.0],
-            0.0,
-            0, // no FM: test the raw sweep
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = geometric_sides(&hg, &coords, &fixed, [4.0, 4.0], &mut arena);
         assert_eq!(side, vec![0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
@@ -201,18 +157,7 @@ mod tests {
         let coords = vec![(7.0, 7.0); 6];
         let fixed = vec![FREE; 6];
         let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [3.0, 3.0],
-            0.0,
-            0,
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = geometric_sides(&hg, &coords, &fixed, [3.0, 3.0], &mut arena);
         assert_eq!(side, vec![0, 0, 0, 1, 1, 1]);
     }
 
@@ -224,18 +169,7 @@ mod tests {
         // Vertex 0 (lowest x) pinned to side 1; vertex 3 (highest) to 0.
         let fixed = vec![1, FREE, FREE, 0];
         let mut arena = LevelArena::disabled();
-        let mut stats = EngineStats::default();
-        let side = geometric_once(
-            &hg,
-            &coords,
-            &fixed,
-            [2.0, 2.0],
-            0.0,
-            0,
-            &mut SmallRng::seed_from_u64(1),
-            &mut arena,
-            &mut stats,
-        );
+        let side = geometric_sides(&hg, &coords, &fixed, [2.0, 2.0], &mut arena);
         assert_eq!(side[0], 1);
         assert_eq!(side[3], 0);
     }

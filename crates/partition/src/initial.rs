@@ -2,150 +2,80 @@
 //! hypergraphs, GGP on graphs — the same max-gain frontier growth) with
 //! multiple random tries.
 
-use fgh_hypergraph::Hypergraph;
 use fgh_sparse::IndexType;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::arena::{ArenaIndex, LevelArena};
 use crate::coarsen::FREE;
-use crate::config::{InitialScheme, PartitionConfig};
+use crate::config::InitialScheme;
 use crate::engine::Substrate;
 use crate::level::EngineStats;
 use crate::refine::BisectionState;
 
-/// Produces an initial bisection with the chosen scheme, FM-refined, best
-/// of `tries` random streams by (balance penalty, cut).
-#[allow(clippy::too_many_arguments)]
-pub fn initial_best(
-    hg: &Hypergraph,
-    fixed: &[i8],
-    targets: [f64; 2],
-    epsilon: f64,
-    scheme: InitialScheme,
-    tries: usize,
-    fm_passes: usize,
-    rng: &mut impl Rng,
-) -> Vec<u8> {
-    let cfg = PartitionConfig {
-        initial: scheme,
-        initial_tries: tries,
-        fm_passes,
-        ..Default::default()
-    };
-    initial_best_in(
-        hg,
-        fixed,
-        targets,
-        epsilon,
-        &cfg,
-        None,
-        rng,
-        &mut LevelArena::disabled(),
-        &mut EngineStats::default(),
-    )
-}
-
-/// Greedy hypergraph growing with defaults — kept as the conventional
-/// entry point.
-pub fn ghg_best(
-    hg: &Hypergraph,
-    fixed: &[i8],
-    targets: [f64; 2],
-    epsilon: f64,
-    tries: usize,
-    fm_passes: usize,
-    rng: &mut impl Rng,
-) -> Vec<u8> {
-    initial_best(
-        hg,
-        fixed,
-        targets,
-        epsilon,
-        InitialScheme::Ghg,
-        tries,
-        fm_passes,
-        rng,
-    )
-}
+/// Initial-partitioning tries per bisection at the coarsest level (the
+/// best one is kept).
+pub(crate) const INITIAL_TRIES: usize = 8;
 
 /// Substrate-generic, arena-backed initial partitioning (the engine's
-/// entry point): scheme, tries, and FM passes are read from `cfg`.
-/// `coords[v]`, when present, positions *local* vertex `v` for the
-/// geometric scheme — the engine projects top-level coordinates down to
-/// the coarsest substrate before calling this. Geometric/Auto without
-/// coordinates fall back to GHG.
+/// entry point): best of `tries` runs of `scheme`, each FM-refined with
+/// up to `fm_passes` passes, by (balance penalty, cut). `coords[v]`, when
+/// present, positions *local* vertex `v` for the geometric scheme — the
+/// engine projects top-level coordinates down to the coarsest substrate
+/// before calling this. Geometric/Auto without coordinates fall back to
+/// GHG.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_best_in<S: Substrate>(
     sub: &S,
     fixed: &[i8],
     targets: [f64; 2],
     epsilon: f64,
-    cfg: &PartitionConfig,
+    scheme: InitialScheme,
+    tries: usize,
+    fm_passes: usize,
     coords: Option<&[(f32, f32)]>,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
     stats: &mut EngineStats,
 ) -> Vec<u8> {
-    let scheme = match (cfg.initial, coords) {
+    let scheme = match (scheme, coords) {
         (InitialScheme::Geometric | InitialScheme::Auto, Some(_)) => InitialScheme::Geometric,
         (InitialScheme::Geometric | InitialScheme::Auto, None) => InitialScheme::Ghg,
         (other, _) => other,
     };
     let mut best: Option<(u64, u64, Vec<u8>)> = None;
-    for _ in 0..cfg.initial_tries.max(1) {
-        let sides = match scheme {
-            InitialScheme::Ghg => ghg_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
-            InitialScheme::Random => random_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
-            InitialScheme::BinPacking => bin_packing_once(
-                sub,
-                fixed,
-                targets,
-                epsilon,
-                cfg.fm_passes,
-                rng,
-                arena,
-                stats,
-            ),
+    for _ in 0..tries.max(1) {
+        // GHG grows side 1 on a live state (it needs gains); the other
+        // schemes produce a plain side vector. Either way the try is then
+        // refined and scored below.
+        let side = match scheme {
+            InitialScheme::Ghg => None,
+            InitialScheme::Random => Some(random_sides(sub, fixed, targets, rng, arena)),
+            InitialScheme::BinPacking => Some(bin_packing_sides(sub, fixed, targets, rng, arena)),
             // `scheme` is resolved above: Geometric only with coords
             // present, Auto never survives resolution.
             InitialScheme::Geometric => {
                 let Some(coords) = coords else {
                     unreachable!("geometric scheme resolved without coords")
                 };
-                crate::geometric::geometric_once(
-                    sub,
-                    coords,
-                    fixed,
-                    targets,
-                    epsilon,
-                    cfg.fm_passes,
-                    rng,
-                    arena,
-                    stats,
-                )
+                Some(crate::geometric::geometric_sides(
+                    sub, coords, fixed, targets, arena,
+                ))
             }
             InitialScheme::Auto => unreachable!("Auto resolves before dispatch"),
         };
-        let st = BisectionState::new_in(sub, sides, fixed, targets, epsilon, arena);
+        let mut st = match side {
+            Some(side) => BisectionState::new_in(sub, side, fixed, targets, epsilon, arena),
+            None => ghg_state(sub, fixed, targets, epsilon, rng, arena),
+        };
+        st.refine_in(
+            rng,
+            fm_passes,
+            0,
+            arena,
+            stats,
+            &fgh_trace::SpanHandle::noop(),
+        );
         let key = (st.balance_penalty(), st.cut());
         let sides = st.into_sides_in(arena);
         if best
@@ -169,7 +99,7 @@ pub(crate) fn initial_best_in<S: Substrate>(
 }
 
 /// Per-vertex starting side: fixed-1 vertices on side 1, the rest on 0.
-fn seed_sides<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Vec<u8> {
+pub(crate) fn seed_sides<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Vec<u8> {
     let n = sub.num_vertices();
     let mut side = arena.take_u8(n, 0);
     for v in 0..n {
@@ -181,16 +111,12 @@ fn seed_sides<S: Substrate>(sub: &S, fixed: &[i8], arena: &mut LevelArena) -> Ve
 }
 
 /// Random assignment: shuffle free vertices, fill side 1 to its target.
-#[allow(clippy::too_many_arguments)]
-fn random_once<S: Substrate>(
+fn random_sides<S: Substrate>(
     sub: &S,
     fixed: &[i8],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
-    stats: &mut EngineStats,
 ) -> Vec<u8> {
     let n = sub.num_vertices();
     let mut side = seed_sides(sub, fixed, arena);
@@ -214,32 +140,18 @@ fn random_once<S: Substrate>(
         w1 += sub.vertex_weight(v) as u64;
     }
     S::Ix::give_ids(arena, order);
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        false,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
+    side
 }
 
 /// Weight-only greedy bin packing: heaviest free vertices first, each onto
 /// the side with more remaining capacity (ties randomized by a shuffled
 /// pre-pass), connectivity ignored.
-#[allow(clippy::too_many_arguments)]
-fn bin_packing_once<S: Substrate>(
+fn bin_packing_sides<S: Substrate>(
     sub: &S,
     fixed: &[i8],
     targets: [f64; 2],
-    epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
-    stats: &mut EngineStats,
 ) -> Vec<u8> {
     let n = sub.num_vertices();
     let mut side = seed_sides(sub, fixed, arena);
@@ -267,32 +179,19 @@ fn bin_packing_once<S: Substrate>(
         w[s] += sub.vertex_weight(v) as u64;
     }
     S::Ix::give_ids(arena, order);
-    let mut st = BisectionState::new_in(sub, side, fixed, targets, epsilon, arena);
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        false,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
+    side
 }
 
 /// Greedy growing: start everything free on side 0 and pull max-gain
 /// vertices across until side 1 reaches its target weight.
-#[allow(clippy::too_many_arguments)]
-fn ghg_once<S: Substrate>(
-    sub: &S,
-    fixed: &[i8],
+fn ghg_state<'a, S: Substrate>(
+    sub: &'a S,
+    fixed: &'a [i8],
     targets: [f64; 2],
     epsilon: f64,
-    fm_passes: usize,
     rng: &mut impl Rng,
     arena: &mut LevelArena,
-    stats: &mut EngineStats,
-) -> Vec<u8> {
+) -> BisectionState<'a, S> {
     let n = sub.num_vertices();
     // Fixed vertices start on their side, everything else on side 0.
     let side = seed_sides(sub, fixed, arena);
@@ -325,28 +224,44 @@ fn ghg_once<S: Substrate>(
         S::Ix::give_buckets(arena, buckets);
         S::Ix::give_ids(arena, insert_order);
     }
-
-    st.refine_in(
-        rng,
-        fm_passes,
-        0,
-        false,
-        arena,
-        stats,
-        &fgh_trace::SpanHandle::noop(),
-    );
-    st.into_sides_in(arena)
+    st
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::two_clusters;
+    use fgh_hypergraph::Hypergraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn free(n: u32) -> Vec<i8> {
         vec![FREE; n as usize]
+    }
+
+    /// Best of `tries` GHG runs with `fm_passes` FM passes each.
+    fn ghg_best(
+        hg: &Hypergraph,
+        fixed: &[i8],
+        targets: [f64; 2],
+        epsilon: f64,
+        tries: usize,
+        fm_passes: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<u8> {
+        initial_best_in(
+            hg,
+            fixed,
+            targets,
+            epsilon,
+            InitialScheme::Ghg,
+            tries,
+            fm_passes,
+            None,
+            rng,
+            &mut LevelArena::disabled(),
+            &mut EngineStats::default(),
+        )
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!   contraction that dedupes pins, drops single-pin nets, and merges
 //!   identical nets (summing their costs).
 //! * **Initial partitioning** ([`initial`]): greedy hypergraph growing
-//!   (GHG) from random seeds, multiple tries, best kept.
-//! * **Refinement** ([`refine`]): Fiduccia–Mattheyses passes with
-//!   gain-bucket lists, balance-constrained moves, lock-on-move, and
-//!   best-prefix rollback.
+//!   (GHG) from random seeds, eight tries, best kept.
+//! * **Refinement** ([`refine`]): full Fiduccia–Mattheyses passes (every
+//!   free vertex is a move candidate) with gain-bucket lists,
+//!   balance-constrained moves, lock-on-move, and best-prefix rollback.
 //! * **K-way** ([`recursive`]): recursive bisection with **net splitting**,
 //!   which makes the per-bisection cut-net objective compose to the
 //!   K-way connectivity−1 objective (eq. 3 of the paper) — the metric that
@@ -39,7 +39,17 @@
 //! [`arena::LevelArena`], so a K-way run performs O(levels) allocations
 //! instead of O(levels × vertices). Enable the `stats` cargo feature for
 //! per-stage wall-clock timing in [`level::EngineStats`] (counters are
-//! always collected).
+//! always collected), and `paranoid` to validate the substrate at every
+//! multilevel checkpoint.
+//!
+//! ## Tracing
+//!
+//! A driver attached to a trace scope
+//! ([`MultilevelDriver::set_trace_parent`], or
+//! [`partition_hypergraph_traced`]) records `bisect[part] →
+//! coarsen[level] / initial / refine[level] → fm-pass[i]` spans, each FM
+//! pass carrying `moves`/`rollbacks` counters. The span sites are always
+//! compiled in; without an attached scope each costs one branch per phase.
 //!
 //! ## Parallelism
 //!
@@ -58,7 +68,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
-pub mod bisect;
 pub mod cancel;
 pub mod coarsen;
 pub mod config;

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use fgh_hypergraph::Hypergraph;
-use fgh_trace::{Span, SpanHandle};
+use fgh_trace::SpanHandle;
 
 use crate::arena::{ArenaIndex, ArenaPool, ArenaStats};
 use crate::config::PartitionConfig;
@@ -79,8 +79,7 @@ pub fn partition_hypergraph_seeds<I: ArenaIndex>(
 /// inside a pool, its threads are reused instead of building a nested
 /// one. Each seed runs on its own [`MultilevelDriver`] over `pool`, under
 /// a `run[offset]` child span of `parent` carrying the run's engine and
-/// arena counters, with the multilevel phase spans nested inside
-/// (requires the `trace` cargo feature to record anything).
+/// arena counters, with the multilevel phase spans nested inside.
 pub fn best_of_seeds<R, F>(
     cfg: &PartitionConfig,
     runs: usize,
@@ -204,11 +203,7 @@ where
 {
     let mut c = cfg.clone();
     c.seed = cfg.seed.wrapping_add(offset as u64);
-    let rspan = if cfg!(feature = "trace") {
-        span.child_indexed("run", offset as u64)
-    } else {
-        Span::noop()
-    };
+    let rspan = span.child_indexed("run", offset as u64);
     let scope = rspan.handle();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut driver = MultilevelDriver::with_pool(c, Arc::clone(pool));

@@ -72,9 +72,8 @@ pub fn partition_hypergraph<I: ArenaIndex>(
 /// [`partition_hypergraph`] recording under a trace scope: the multilevel
 /// phase spans (`bisect` → `coarsen`/`initial`/`refine`) nest directly
 /// under `parent`, and the run's engine/arena counters are recorded onto
-/// `parent` itself (requires the `trace` cargo feature to record
-/// anything). Meant for composite models that stitch several single runs
-/// into one decomposition.
+/// `parent` itself. Meant for composite models that stitch several single
+/// runs into one decomposition.
 pub fn partition_hypergraph_traced<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     k: u32,
@@ -426,5 +425,54 @@ mod tests {
             growth <= miss_after_first / 4 + 1,
             "second run allocated {growth} fresh buffers (first: {miss_after_first})"
         );
+    }
+
+    #[test]
+    fn traced_run_records_the_phase_tree() {
+        use fgh_trace::Tracer;
+        let hg = random_hypergraph(400, 600, 5, 1);
+        let (tracer, sink) = Tracer::collecting();
+        let root = tracer.span("partition");
+        let r = partition_hypergraph_traced(&hg, 2, &PartitionConfig::with_seed(7), &root.handle())
+            .unwrap();
+        drop(root);
+        let trace = sink.build_trace();
+        let root = trace.root("partition").expect("root span");
+        let bisects: Vec<_> = root
+            .children
+            .iter()
+            .filter(|c| c.name == "bisect")
+            .collect();
+        assert_eq!(bisects.len(), 1, "K = 2 runs one bisection");
+        let bisect = bisects[0];
+        assert_eq!(bisect.index, Some(0));
+        assert_eq!(bisect.counter("cut"), Some(r.bisection_cut_sum));
+
+        let count = |name: &str| bisect.children.iter().filter(|c| c.name == name).count();
+        assert!(count("coarsen") > 0, "400 vertices coarsen at least once");
+        assert_eq!(count("initial"), 1);
+        assert!(count("refine") > 0);
+        assert_eq!(
+            count("coarsen") + count("initial") + count("refine"),
+            bisect.children.len(),
+            "unexpected phase under bisect[0]"
+        );
+        for phase in &bisect.children {
+            assert_eq!(phase.index.is_some(), phase.name != "initial", "{phase:?}");
+            if phase.name != "refine" {
+                assert!(phase.children.is_empty(), "{}", phase.name);
+            }
+        }
+
+        for refine in bisect.children.iter().filter(|c| c.name == "refine") {
+            assert!(!refine.children.is_empty(), "every level runs an FM pass");
+            for pass in &refine.children {
+                assert_eq!(pass.name, "fm-pass");
+                assert!(pass.index.is_some());
+                let moves = pass.counter("moves").expect("moves counter");
+                let rollbacks = pass.counter("rollbacks").expect("rollbacks counter");
+                assert!(rollbacks <= moves, "{rollbacks} rollbacks > {moves} moves");
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::arena::{ArenaIndex, LevelArena};
-use crate::coarsen::{coarsen_once_in, FREE};
+use crate::coarsen::{coarsen_once_in, FREE, MAX_NET_SIZE_FOR_MATCHING};
 use crate::config::{CoarseningScheme, PartitionConfig};
 use crate::error::PartitionError;
 use crate::kway::kway_refine;
@@ -79,14 +79,7 @@ fn one_cycle<I: ArenaIndex>(
         if cur_hg.num_vertices().index() <= (cfg.coarsen_to as usize * k as usize).max(200) {
             break;
         }
-        let next = coarsen_respecting(
-            cur_hg,
-            cur_parts,
-            cfg.coarsening,
-            cfg.max_net_size_for_matching,
-            weight_cap,
-            rng,
-        );
+        let next = coarsen_respecting(cur_hg, cur_parts, cfg.coarsening, weight_cap, rng);
         match next {
             Some(x) => levels.push(x),
             None => break,
@@ -138,7 +131,6 @@ fn coarsen_respecting<I: ArenaIndex>(
     hg: &Hypergraph<I>,
     parts: &[u32],
     scheme: CoarseningScheme,
-    max_net: usize,
     weight_cap: u64,
     rng: &mut impl Rng,
 ) -> Option<(Level<Hypergraph<I>>, Vec<u32>)> {
@@ -167,7 +159,7 @@ fn coarsen_respecting<I: ArenaIndex>(
             &sub,
             &fixed,
             scheme,
-            max_net,
+            MAX_NET_SIZE_FOR_MATCHING,
             weight_cap,
             rng,
             &mut LevelArena::disabled(),
@@ -354,7 +346,6 @@ mod tests {
             &hg,
             r.partition.parts(),
             CoarseningScheme::Hcc,
-            64,
             hg.total_vertex_weight(),
             &mut rng,
         ) {

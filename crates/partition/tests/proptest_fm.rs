@@ -83,23 +83,15 @@ proptest! {
         prop_assert_eq!(st.sides(), st0.sides());
     }
 
-    /// A full FM refinement never worsens (penalty, cut) — including the
-    /// boundary variant.
+    /// A full FM refinement never worsens (penalty, cut).
     #[test]
     fn refinement_monotone(hg in hypergraph(), seed in 0u64..200) {
         let fixed = vec![FREE; hg.num_vertices() as usize];
         let half = hg.total_vertex_weight() as f64 / 2.0;
-        for boundary in [false, true] {
-            let sides = sides_for(&hg, seed);
-            let mut st = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
-            let before = (st.balance_penalty(), st.cut());
-            let mut rng = SmallRng::seed_from_u64(seed);
-            if boundary {
-                st.refine_boundary(&mut rng, 4, 0);
-            } else {
-                st.refine(&mut rng, 4, 0);
-            }
-            prop_assert!((st.balance_penalty(), st.cut()) <= before, "boundary={boundary}");
-        }
+        let sides = sides_for(&hg, seed);
+        let mut st = BisectionState::new(&hg, sides, &fixed, [half, half], 0.2);
+        let before = (st.balance_penalty(), st.cut());
+        st.refine(&mut SmallRng::seed_from_u64(seed), 4, 0);
+        prop_assert!((st.balance_penalty(), st.cut()) <= before);
     }
 }

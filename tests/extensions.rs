@@ -3,7 +3,7 @@
 //! the full 2D model taxonomy playing together.
 
 use fine_grain_hypergraph::core::models::{CheckerboardHgModel, JaggedModel, MondriaanModel};
-use fine_grain_hypergraph::core::CommStats;
+use fine_grain_hypergraph::core::{CommStats, Tracer};
 use fine_grain_hypergraph::prelude::*;
 use fine_grain_hypergraph::sparse::catalog;
 use fine_grain_hypergraph::sparse::reorder::{permute_symmetric, rcm_order};
@@ -147,24 +147,30 @@ fn two_dimensional_taxonomy() {
     let y_serial = a.spmv(&x).expect("dims");
 
     let pcfg = PartitionConfig::with_seed(2);
+    let untraced = Tracer::disabled().root();
     let decomps = vec![
         (
             "jagged",
             JaggedModel::new(4, 0.1)
                 .unwrap()
-                .decompose(&a, &pcfg)
-                .unwrap(),
+                .decompose_traced(&a, &pcfg, &untraced)
+                .unwrap()
+                .0,
         ),
         (
             "mondriaan",
-            MondriaanModel::new(4, 0.1).decompose(&a, &pcfg).unwrap(),
+            MondriaanModel::new(4, 0.1)
+                .decompose_traced(&a, &pcfg, &untraced)
+                .unwrap()
+                .0,
         ),
         (
             "checkerboard-hg",
             CheckerboardHgModel::new(4, 0.25)
                 .unwrap()
-                .decompose(&a, &pcfg)
-                .unwrap(),
+                .decompose_traced(&a, &pcfg, &untraced)
+                .unwrap()
+                .0,
         ),
     ];
     for (name, d) in &decomps {
