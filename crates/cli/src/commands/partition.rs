@@ -3,7 +3,6 @@
 use std::io::Write;
 
 use fgh_core::{decompose_workload_any, Decomposition, WorkloadAny, WorkloadOutcome};
-use fgh_sparse::AnyCsrMatrix;
 
 use crate::commands::{finish_outcome, load_matrix_any};
 use crate::error::CmdResult;
@@ -14,8 +13,9 @@ pub fn run(args: &[String]) -> CmdResult {
     let path = o.one_positional("matrix.mtx")?;
     let a = load_matrix_any(path)?;
     let cfg = o.decompose_config(o.parse_required("k")?)?;
+    let workload = WorkloadAny::Spmv(&a);
     let out = finish_outcome(
-        decompose_workload_any(WorkloadAny::Spmv(&a), &cfg).and_then(WorkloadOutcome::into_spmv),
+        decompose_workload_any(workload, &cfg).and_then(WorkloadOutcome::into_spmv),
         o.has("strict"),
     )?;
 
@@ -66,12 +66,7 @@ pub fn run(args: &[String]) -> CmdResult {
         println!("mapping written:   {out_path}");
     }
     if let Some(json_path) = o.get("metrics-json") {
-        // Dispatch on the carrier width; the document itself only reads
-        // width-independent dimensions from the matrix.
-        let doc = match &a {
-            AnyCsrMatrix::U32(m) => fgh_core::metrics_json(m, &cfg, &out),
-            AnyCsrMatrix::U64(m) => fgh_core::metrics_json(m, &cfg, &out),
-        } + "\n";
+        let doc = fgh_core::metrics_json(workload, &cfg, &WorkloadOutcome::Spmv(out), None) + "\n";
         std::fs::write(json_path, doc).map_err(|e| format!("{json_path}: {e}"))?;
         println!("metrics written:   {json_path}");
     }

@@ -3,11 +3,9 @@
 //! simulator, and cross-check that the measured remote traffic equals
 //! the model-predicted communication volume.
 
-use fgh_core::{decompose_workload_any, SpgemmOutcome, WorkloadAny, WorkloadOutcome};
-use fgh_sparse::AnyCsrMatrix;
-use fgh_traffic::TrafficReport;
+use fgh_core::{decompose_workload_any, CommSummary, WorkloadAny, WorkloadOutcome};
 
-use crate::commands::{finish_spgemm, load_matrix_any};
+use crate::commands::{finish_outcome, load_matrix_any};
 use crate::error::{CmdError, CmdResult};
 use crate::opts::Opts;
 
@@ -20,9 +18,9 @@ pub fn run(args: &[String]) -> CmdResult {
         None => a.clone(), // one operand: the A·A product
     };
     let cfg = o.decompose_config_for("spgemm-fine-grain", o.parse_required("k")?)?;
-    let out = finish_spgemm(
-        decompose_workload_any(WorkloadAny::Spgemm(&a, &b), &cfg)
-            .and_then(WorkloadOutcome::into_spgemm),
+    let workload = WorkloadAny::Spgemm(&a, &b);
+    let out = finish_outcome(
+        decompose_workload_any(workload, &cfg).and_then(WorkloadOutcome::into_spgemm),
         o.has("strict"),
     )?;
 
@@ -30,7 +28,8 @@ pub fn run(args: &[String]) -> CmdResult {
         eprint!("{}", trace.render());
     }
 
-    let (aw, bw, report) = replay_traffic(&a, &b, &out)?;
+    let report = fgh_traffic::simulate_any(&a, &b, &out.decomposition)
+        .map_err(|e| CmdError::new(1, format!("traffic replay: {e}")))?;
     if report.total_remote() != out.stats.total_volume() {
         return Err(CmdError::new(
             1,
@@ -59,7 +58,10 @@ pub fn run(args: &[String]) -> CmdResult {
     println!("model:             {}", cfg.model.name());
     println!("index width:       {} bits", out.width.bits());
     println!("processors:        {}", cfg.k);
-    println!("multiply tasks:    {} (flops)", out.flops);
+    println!(
+        "multiply tasks:    {} (flops)",
+        out.decomposition.task_owner.len()
+    );
     println!("objective:         {}", out.objective);
     println!("comm volume:       {} words", out.stats.total_volume());
     println!("  expand A:        {} words", out.stats.a_expand_volume);
@@ -98,47 +100,13 @@ pub fn run(args: &[String]) -> CmdResult {
     }
 
     if let Some(json_path) = o.get("metrics-json") {
+        let out = WorkloadOutcome::Spgemm(out);
         let traffic = report.to_value();
-        let doc = match (&aw, &bw) {
-            (AnyCsrMatrix::U32(am), AnyCsrMatrix::U32(bm)) => {
-                fgh_core::spgemm_metrics_json(am, bm, &cfg, &out, Some(&traffic))
-            }
-            (AnyCsrMatrix::U64(am), AnyCsrMatrix::U64(bm)) => {
-                fgh_core::spgemm_metrics_json(am, bm, &cfg, &out, Some(&traffic))
-            }
-            _ => unreachable!("both operands converted to the outcome width"),
-        } + "\n";
+        let doc = fgh_core::metrics_json(workload, &cfg, &out, Some(&traffic)) + "\n";
         std::fs::write(json_path, doc).map_err(|e| format!("{json_path}: {e}"))?;
         println!("metrics written:   {json_path}");
     }
     Ok(())
-}
-
-/// Runs the storage-traffic simulator at the outcome's carrier width and
-/// returns the width-converted operands alongside the report (the
-/// metrics document reuses them).
-fn replay_traffic(
-    a: &AnyCsrMatrix,
-    b: &AnyCsrMatrix,
-    out: &SpgemmOutcome,
-) -> Result<(AnyCsrMatrix, AnyCsrMatrix, TrafficReport), CmdError> {
-    let aw = a
-        .convert_width(out.width)
-        .map_err(|e| CmdError::new(1, format!("width conversion: {e}")))?;
-    let bw = b
-        .convert_width(out.width)
-        .map_err(|e| CmdError::new(1, format!("width conversion: {e}")))?;
-    let report = match (&aw, &bw) {
-        (AnyCsrMatrix::U32(am), AnyCsrMatrix::U32(bm)) => {
-            fgh_traffic::simulate(am, bm, &out.decomposition)
-        }
-        (AnyCsrMatrix::U64(am), AnyCsrMatrix::U64(bm)) => {
-            fgh_traffic::simulate(am, bm, &out.decomposition)
-        }
-        _ => unreachable!("convert_width returned mismatched widths"),
-    }
-    .map_err(|e| CmdError::new(1, format!("traffic replay: {e}")))?;
-    Ok((aw, bw, report))
 }
 
 #[cfg(test)]

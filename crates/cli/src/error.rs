@@ -12,7 +12,7 @@
 //! * `5` — the chosen model has no big-index (u64) path for a matrix
 //!   that needs one; the stderr hint names the width-capable models.
 
-use fgh_core::{ErrorCategory, FghError};
+use fgh_core::{ErrorCategory, FghError, Model};
 
 /// An error plus the exit code the process should return.
 #[derive(Debug)]
@@ -51,8 +51,8 @@ impl From<FghError> for CmdError {
             return CmdError {
                 code: 5,
                 msg: format!(
-                    "{e}\nhint: width-capable models: graph-1d, hypergraph-1d-colnet, \
-                     hypergraph-1d-rownet, fine-grain-2d"
+                    "{e}\nhint: width-capable models: {}",
+                    Model::wide_capable_names()
                 ),
             };
         }
@@ -100,14 +100,9 @@ mod tests {
         assert_eq!(e.code, 5);
         assert!(e.msg.contains("checkerboard-2d"), "{}", e.msg);
         assert!(e.msg.contains("64-bit"), "{}", e.msg);
-        for capable in [
-            "graph-1d",
-            "hypergraph-1d-colnet",
-            "hypergraph-1d-rownet",
-            "fine-grain-2d",
-        ] {
+        for capable in Model::ALL.iter().filter(|m| m.supports_wide_indices()) {
             assert!(
-                e.msg.contains(capable),
+                e.msg.contains(capable.name()),
                 "hint must name {capable}: {}",
                 e.msg
             );

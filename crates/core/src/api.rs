@@ -1,21 +1,21 @@
-//! The SpMV side of the one-call decomposition API: the [`Model`] menu,
-//! the request ([`DecomposeConfig`]) and outcome
-//! ([`DecompositionOutcome`]) types, and the SpMV pipeline behind
-//! [`crate::Workload::Spmv`] — pick a model, get a decomposition plus its
-//! exact communication statistics and timing, the loop body of the
-//! paper's Table-2 experiment. The entry points themselves live in
+//! The request side of the one-call decomposition API — the [`Model`]
+//! menu and the request ([`DecomposeConfig`]) — and the SpMV side of the
+//! pipeline behind [`crate::Workload::Spmv`]: pick a model, get a
+//! decomposition plus its exact communication statistics and timing, the
+//! loop body of the paper's Table-2 experiment. The entry points, the
+//! outcome type and the pipeline both workloads share live in
 //! [`crate::workload`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use fgh_graph::partition_graph_best_traced_in;
 use fgh_partition::{
     partition_hypergraph_best_traced_in, ArenaIndex, ArenaPool, Budget, CancelToken, EngineStats,
     InitialScheme, Parallelism, PartitionConfig,
 };
-use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexType, IndexWidth};
-use fgh_trace::{SpanHandle, Trace, Tracer};
+use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexType, IndexWidth, SparseError};
+use fgh_trace::SpanHandle;
 
 use crate::decomp::Decomposition;
 use crate::metrics::CommStats;
@@ -23,7 +23,7 @@ use crate::models::{
     CheckerboardHgModel, CheckerboardModel, ColumnNetModel, FineGrainModel, JaggedModel,
     MondriaanModel, RowNetModel, StandardGraphModel,
 };
-use crate::status::{DecompositionStatus, DegradedReason};
+use crate::workload::Family;
 use crate::{FghError, ModelError};
 
 /// The index widths [`crate::decompose_workload`] runs at. Sealed by construction: it
@@ -39,12 +39,17 @@ use crate::{FghError, ModelError};
 /// performed behind the caller's back.
 pub trait DecomposeIndex: ArenaIndex {
     /// Runtime tag for this width, stamped into
-    /// [`DecompositionOutcome::width`].
+    /// [`Outcome::width`](crate::Outcome::width).
     const WIDTH: IndexWidth;
 
     /// `Some(a)` iff `Self` is `u32` (a zero-cost identity), `None` on
     /// the big-index path.
     fn as_u32_matrix(a: &CsrMatrix<Self>) -> Option<&CsrMatrix<u32>>;
+
+    /// A width-erased carrier at this width: borrowed when it already is,
+    /// converted otherwise (a typed [`SparseError::TooLarge`] when
+    /// narrowing does not fit).
+    fn from_any(m: &AnyCsrMatrix) -> Result<Cow<'_, CsrMatrix<Self>>, SparseError>;
 }
 
 impl DecomposeIndex for u32 {
@@ -53,6 +58,13 @@ impl DecomposeIndex for u32 {
     fn as_u32_matrix(a: &CsrMatrix<u32>) -> Option<&CsrMatrix<u32>> {
         Some(a)
     }
+
+    fn from_any(m: &AnyCsrMatrix) -> Result<Cow<'_, CsrMatrix<u32>>, SparseError> {
+        Ok(match m {
+            AnyCsrMatrix::U32(m) => Cow::Borrowed(m),
+            AnyCsrMatrix::U64(m) => Cow::Owned(m.convert_width()?),
+        })
+    }
 }
 
 impl DecomposeIndex for u64 {
@@ -60,6 +72,13 @@ impl DecomposeIndex for u64 {
 
     fn as_u32_matrix(_a: &CsrMatrix<u64>) -> Option<&CsrMatrix<u32>> {
         None
+    }
+
+    fn from_any(m: &AnyCsrMatrix) -> Result<Cow<'_, CsrMatrix<u64>>, SparseError> {
+        Ok(match m {
+            AnyCsrMatrix::U32(m) => Cow::Owned(m.convert_width()?),
+            AnyCsrMatrix::U64(m) => Cow::Borrowed(m),
+        })
     }
 }
 
@@ -186,6 +205,18 @@ impl Model {
                 | Model::SpgemmFineGrain
         )
     }
+
+    /// Comma-separated names of the models that run at either index width
+    /// ([`Model::supports_wide_indices`]): the hint the CLI and `fgh serve`
+    /// attach to [`FghError::UnsupportedWidth`].
+    pub fn wide_capable_names() -> String {
+        Model::ALL
+            .iter()
+            .filter(|m| m.supports_wide_indices())
+            .map(Model::name)
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
 }
 
 impl std::fmt::Display for Model {
@@ -242,8 +273,8 @@ pub struct DecomposeConfig {
     pub runs: usize,
     /// Resource budget for the partitioner. When a limit trips, the best
     /// partition found so far is returned, the truncation is recorded in
-    /// [`DecompositionOutcome::engine`], and the outcome is tagged
-    /// [`DecompositionStatus::Degraded`].
+    /// [`Outcome::engine`](crate::Outcome::engine), and the outcome is
+    /// tagged [`DecompositionStatus::Degraded`](crate::DecompositionStatus::Degraded).
     pub budget: Budget,
     /// Thread fan-out for the partitioner. [`Parallelism::Serial`] and
     /// multi-threaded modes produce bit-identical decompositions; threads
@@ -252,14 +283,15 @@ pub struct DecomposeConfig {
     /// Record a structured execution trace: per-phase spans (model build,
     /// coarsening levels, initial partitioning, FM passes, decode) with
     /// monotonic timings and engine counters, surfaced as
-    /// [`DecompositionOutcome::trace`]. Off by default; tracing never
+    /// [`Outcome::trace`](crate::Outcome::trace). Off by default; tracing never
     /// changes the decomposition, only observes it.
     pub trace: bool,
     /// Cooperative cancellation: when a token is attached and tripped,
     /// the partitioner stops at its next multilevel checkpoint, the best
     /// partition found so far is decoded, and the outcome is tagged
-    /// [`DecompositionStatus::Degraded`] with
-    /// [`DegradedReason::Cancelled`]. `None` (the default) disables
+    /// [`DecompositionStatus::Degraded`](crate::DecompositionStatus::Degraded)
+    /// with [`DegradedReason::Cancelled`](crate::DegradedReason::Cancelled).
+    /// `None` (the default) disables
     /// polling.
     pub cancel: Option<CancelToken>,
     /// Initial-partitioning scheme at the coarsest level. The default is
@@ -359,133 +391,6 @@ impl DecomposeConfig {
     }
 }
 
-/// The result of a decomposition: the mapping, its exact communication
-/// statistics, the model's internal objective value, and wall-clock time.
-#[derive(Debug, Clone)]
-pub struct DecompositionOutcome {
-    /// The decoded decomposition.
-    pub decomposition: Decomposition,
-    /// Exact communication statistics (ground truth for every model).
-    pub stats: CommStats,
-    /// The objective the partitioner minimized: edge cut for
-    /// [`Model::Graph1D`], connectivity−1 cutsize for hypergraph models.
-    pub objective: u64,
-    /// Partitioning wall-clock time (model build + partitioning + decode).
-    pub elapsed: Duration,
-    /// Full or degraded, with the reason when degraded.
-    pub status: DecompositionStatus,
-    /// The index width the decomposition ran at: `U32` for the fast path,
-    /// `U64` for the big path (via [`crate::decompose_workload_any`]'s
-    /// auto-upgrade or a caller's own wide matrix).
-    pub width: IndexWidth,
-    /// Multilevel engine statistics, including budget-truncation counters.
-    /// For the single-partition models this is the winning run's stats;
-    /// for the composite models ([`Model::Mondriaan2D`],
-    /// [`Model::Jagged2D`], [`Model::CheckerboardHg2D`]) it is the
-    /// **aggregate** over every internal engine run (merged counters —
-    /// [`Model::CheckerboardHg2D`]'s phase-2 multi-constraint partitioner
-    /// reports its placement and refinement work in the same vocabulary,
-    /// with coarsening counters untouched). Zeroed
-    /// only for [`Model::Checkerboard2D`], which builds its decomposition
-    /// directly without any partitioner.
-    pub engine: EngineStats,
-    /// Structured execution trace, recorded when
-    /// [`DecomposeConfig::trace`] was set: a tree of per-phase spans
-    /// (monotonic start + duration, engine counters) rooted at
-    /// `decompose`. `None` when tracing was off.
-    pub trace: Option<Trace>,
-}
-
-impl DecompositionOutcome {
-    /// Strict-mode check: returns the outcome unchanged when
-    /// [`DecompositionStatus::Full`], otherwise converts the degradation
-    /// into a typed error — [`FghError::BudgetExhausted`] when a budget
-    /// limit truncated the run, [`FghError::Cancelled`] when a cancel
-    /// token stopped it, [`FghError::Infeasible`] otherwise.
-    pub fn into_strict(self) -> std::result::Result<Self, FghError> {
-        match &self.status {
-            DecompositionStatus::Full => Ok(self),
-            DecompositionStatus::Degraded { reason } => match reason {
-                DegradedReason::BudgetExhausted { .. } => {
-                    Err(FghError::BudgetExhausted(reason.to_string()))
-                }
-                DegradedReason::Cancelled => Err(FghError::Cancelled(reason.to_string())),
-                _ => Err(FghError::Infeasible(reason.to_string())),
-            },
-        }
-    }
-}
-
-/// Best-effort fallback for degenerate inputs the models cannot handle
-/// (e.g. `K` larger than the number of partitionable units): round-robin
-/// nonzeros across processors, vector entries following the first nonzero
-/// of their column where one exists. Valid by construction, never balanced
-/// cleverly — callers tag the outcome [`DecompositionStatus::Degraded`].
-fn best_effort_round_robin<I: IndexType>(
-    a: &CsrMatrix<I>,
-    k: u32,
-) -> std::result::Result<Decomposition, FghError> {
-    let n = a.nrows().index();
-    let mut vec_owner: Vec<u32> = (0..n)
-        .map(|j| (j % k as usize) as u32) // lint: checked-cast — value < k, a u32
-        .collect();
-    let mut nonzero_owner = Vec::with_capacity(a.nnz());
-    let mut col_seen = vec![false; n];
-    for (e, (_, j, _)) in a.iter().enumerate() {
-        let owner = (e % k as usize) as u32; // lint: checked-cast — value < k, a u32
-        nonzero_owner.push(owner);
-        let ju = j.index();
-        if !col_seen[ju] {
-            col_seen[ju] = true;
-            vec_owner[ju] = owner;
-        }
-    }
-    Ok(Decomposition::general(a, k, nonzero_owner, vec_owner)?)
-}
-
-/// Status attribution shared by the SpMV and SpGEMM pipelines: a forced
-/// reason (degenerate input) wins, then cancellation, then budget
-/// truncation, then a missed balance target. The balance tolerance adds
-/// one work unit of slack (`100·K / work_units` percent) on top of ε —
-/// integer loads cannot hit a fractional average exactly, and that
-/// granularity is not a degradation. Cancellation wins the attribution
-/// over budget truncation: a cancelled run is reported as cancelled, not
-/// a budget accident.
-pub(crate) fn degradation_status(
-    forced_reason: Option<DegradedReason>,
-    engine: &EngineStats,
-    cfg: &DecomposeConfig,
-    imbalance: f64,
-    work_units: u64,
-) -> DecompositionStatus {
-    let allowed = cfg.epsilon * 100.0 + 100.0 * cfg.k as f64 / work_units.max(1) as f64 + 1e-9;
-    if let Some(reason) = forced_reason {
-        DecompositionStatus::Degraded { reason }
-    } else if engine.cancelled() {
-        DecompositionStatus::Degraded {
-            reason: DegradedReason::Cancelled,
-        }
-    } else if engine.truncated() {
-        DecompositionStatus::Degraded {
-            reason: DegradedReason::BudgetExhausted {
-                wall: engine.wall_truncations,
-                levels: engine.level_truncations,
-                fm_passes: engine.fm_truncations,
-                bytes: engine.byte_truncations,
-            },
-        }
-    } else if imbalance > allowed {
-        DecompositionStatus::Degraded {
-            reason: DegradedReason::BalanceInfeasible {
-                epsilon: cfg.epsilon,
-                achieved_percent: imbalance,
-            },
-        }
-    } else {
-        DecompositionStatus::Full
-    }
-}
-
 /// Downcast evidence for the `u32`-only composite models: `Some` on the
 /// fast path, a typed [`FghError::UnsupportedWidth`] on the big path.
 fn require_u32<I: DecomposeIndex>(
@@ -498,138 +403,74 @@ fn require_u32<I: DecomposeIndex>(
     })
 }
 
-/// The SpMV pipeline — the body behind [`crate::Workload::Spmv`].
-pub(crate) fn spmv_pipeline_in<I: DecomposeIndex>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    pool: &Arc<ArenaPool>,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    if cfg.model.workload() != WorkloadKind::Spmv {
-        return Err(FghError::InvalidInput(format!(
-            "model {} decomposes a {} workload, not SpMV",
-            cfg.model.name(),
-            cfg.model.workload()
-        )));
-    }
-    if cfg.k == 0 {
-        return Err(FghError::InvalidInput("K must be >= 1".into()));
-    }
-    if !cfg.epsilon.is_finite() || cfg.epsilon < 0.0 {
-        return Err(FghError::InvalidInput(format!(
-            "epsilon must be finite and >= 0, got {}",
-            cfg.epsilon
-        )));
-    }
-    if !a.is_square() {
-        return Err(FghError::Model(ModelError::NotSquare {
-            nrows: a.nrows().as_u64(),
-            ncols: a.ncols().as_u64(),
-        }));
-    }
-    // Tracing observes the same window `elapsed` measures: the root
-    // `decompose` span opens at `start` and closes right after the model
-    // finishes (statistics computation is outside both).
-    let (tracer, sink) = if cfg.trace {
-        let (t, s) = Tracer::collecting();
-        (t, Some(s))
-    } else {
-        (Tracer::disabled(), None)
-    };
-    let start = Instant::now();
-    let root = tracer.span("decompose");
+/// The SpMV side of the decomposition pipeline: one square matrix,
+/// whose nonzeros are the work units.
+pub(crate) struct SpmvFamily<'a, I: DecomposeIndex>(&'a CsrMatrix<I>);
 
-    // Degenerate inputs are served a trivial decomposition up front rather
-    // than fed to partitioners that assume at least one unit of work.
-    if a.nnz() == 0 {
-        let decomposition = Decomposition::rowwise(a, cfg.k, vec![0; a.nrows().index()])?;
-        let elapsed = start.elapsed();
-        drop(root);
-        let stats = CommStats::compute(a, &decomposition)?;
-        return Ok(DecompositionOutcome {
-            decomposition,
-            stats,
-            objective: 0,
-            elapsed,
-            status: DecompositionStatus::Degraded {
-                reason: DegradedReason::EmptyMatrix,
-            },
-            width: I::WIDTH,
-            engine: EngineStats::default(),
-            trace: sink.map(|s| s.build_trace()),
-        });
-    }
-    let mut forced_reason: Option<DegradedReason> = None;
-    if cfg.k as u64 > a.nnz() as u64 {
-        forced_reason = Some(DegradedReason::DegenerateK {
-            k: cfg.k,
-            nnz: a.nnz() as u64,
-            fallback: None,
-        });
-    }
-
-    let attempt = decompose_with_model(a, cfg, pool, &root.handle());
-    let (decomposition, objective, engine) = match attempt {
-        Ok(t) => t,
-        Err(e) if forced_reason.is_some() => {
-            // The model choked on the degenerate K; fall back instead of
-            // failing, keeping the reason visible.
-            forced_reason = Some(DegradedReason::DegenerateK {
-                k: cfg.k,
-                nnz: a.nnz() as u64,
-                fallback: Some(format!(
-                    "{} failed on degenerate input: {e}",
-                    cfg.model.name()
-                )),
-            });
-            let d = best_effort_round_robin(a, cfg.k)?;
-            let vol = CommStats::compute(a, &d)?.total_volume();
-            (d, vol, EngineStats::default())
+impl<'a, I: DecomposeIndex> SpmvFamily<'a, I> {
+    /// Rejects a non-square matrix.
+    pub(crate) fn new(a: &'a CsrMatrix<I>) -> std::result::Result<Self, FghError> {
+        if !a.is_square() {
+            return Err(FghError::Model(ModelError::NotSquare {
+                nrows: a.nrows().as_u64(),
+                ncols: a.ncols().as_u64(),
+            }));
         }
-        Err(e) => return Err(e),
-    };
-    let elapsed = start.elapsed();
-    drop(root);
-    let trace = sink.map(|s| s.build_trace());
-    let stats = CommStats::compute(a, &decomposition)?;
-
-    let status = degradation_status(
-        forced_reason,
-        &engine,
-        cfg,
-        stats.load_imbalance_percent(),
-        a.nnz() as u64,
-    );
-    Ok(DecompositionOutcome {
-        decomposition,
-        stats,
-        objective,
-        elapsed,
-        status,
-        width: I::WIDTH,
-        engine,
-        trace,
-    })
+        Ok(SpmvFamily(a))
+    }
 }
 
-/// The width-erased SpMV pipeline: [`IndexWidth::select`]-driven
-/// auto-upgrade in front of [`spmv_pipeline_in`].
-pub(crate) fn spmv_pipeline_any_in(
-    a: &AnyCsrMatrix,
-    cfg: &DecomposeConfig,
-    pool: &Arc<ArenaPool>,
-) -> std::result::Result<DecompositionOutcome, FghError> {
-    let needed = IndexWidth::select(a.nrows(), a.ncols(), a.nnz() as u64);
-    let force_wide = cfg!(feature = "force-u64");
-    match a {
-        AnyCsrMatrix::U64(m) => spmv_pipeline_in(m, cfg, pool),
-        AnyCsrMatrix::U32(m) => {
-            if needed == IndexWidth::U64 || force_wide {
-                let wide: CsrMatrix<u64> = m.convert_width()?;
-                spmv_pipeline_in(&wide, cfg, pool)
-            } else {
-                spmv_pipeline_in(m, cfg, pool)
+impl<I: DecomposeIndex> Family for SpmvFamily<'_, I> {
+    const KIND: WorkloadKind = WorkloadKind::Spmv;
+    const WIDTH: IndexWidth = I::WIDTH;
+    type Decomposition = Decomposition;
+    type Stats = CommStats;
+
+    fn work_units(&self) -> u64 {
+        self.0.nnz() as u64
+    }
+
+    fn empty(&self, k: u32) -> std::result::Result<Decomposition, FghError> {
+        Ok(Decomposition::rowwise(
+            self.0,
+            k,
+            vec![0; self.0.nrows().index()],
+        )?)
+    }
+
+    fn attempt(
+        &self,
+        cfg: &DecomposeConfig,
+        pool: &Arc<ArenaPool>,
+        scope: &SpanHandle,
+    ) -> std::result::Result<(Decomposition, u64, EngineStats), FghError> {
+        decompose_with_model(self.0, cfg, pool, scope)
+    }
+
+    /// Nonzeros round-robin across processors, each vector entry
+    /// following the first nonzero of its column where one exists.
+    fn round_robin(&self, k: u32) -> std::result::Result<Decomposition, FghError> {
+        let a = self.0;
+        let n = a.nrows().index();
+        let mut vec_owner: Vec<u32> = (0..n)
+            .map(|j| (j % k as usize) as u32) // lint: checked-cast — value < k, a u32
+            .collect();
+        let mut nonzero_owner = Vec::with_capacity(a.nnz());
+        let mut col_seen = vec![false; n];
+        for (e, (_, j, _)) in a.iter().enumerate() {
+            let owner = (e % k as usize) as u32; // lint: checked-cast — value < k, a u32
+            nonzero_owner.push(owner);
+            let ju = j.index();
+            if !col_seen[ju] {
+                col_seen[ju] = true;
+                vec_owner[ju] = owner;
             }
         }
+        Ok(Decomposition::general(a, k, nonzero_owner, vec_owner)?)
+    }
+
+    fn stats(&self, d: &Decomposition) -> std::result::Result<CommStats, FghError> {
+        Ok(CommStats::compute(self.0, d)?)
     }
 }
 
@@ -679,20 +520,8 @@ fn decompose_with_model<I: DecomposeIndex>(
         }
         Model::FineGrain2D => {
             let model = build_spanned(scope, || FineGrainModel::build(a))?;
-            // Fine-grain vertices have natural (row, col) positions; hand
-            // them to the partitioner only when the geometric / auto
-            // scheme asks — the default GHG path stays allocation-free.
-            if matches!(cfg.initial, InitialScheme::Geometric | InitialScheme::Auto) {
-                let n = model.hypergraph().num_vertices().index();
-                let coords: Vec<(f32, f32)> = (0..n)
-                    .map(|v| {
-                        let (r, c) = model.coords(I::from_index(v));
-                        // lint: checked-cast — row/col ids as geometric positions; f32 rounding above 2^24 only nudges the sweep order, never indexes
-                        (r.index() as f32, c.index() as f32)
-                    })
-                    .collect();
-                pcfg.coords = Some(Arc::new(coords));
-            }
+            let n = model.hypergraph().num_vertices().index();
+            attach_coords(&mut pcfg, n, |v| model.coords(I::from_index(v)));
             hypergraph_arm(cfg, &pcfg, pool, scope, model.hypergraph(), |r| {
                 model.decode(a, &r.partition)
             })?
@@ -738,7 +567,7 @@ fn decompose_with_model<I: DecomposeIndex>(
             let vol = objective_volume(a32, &d, scope)?;
             (d, vol, stats)
         }
-        // Unreachable: spmv_pipeline_in rejects SpGEMM-workload models
+        // Unreachable: the pipeline rejects SpGEMM-workload models
         // before dispatch; kept total rather than panicking.
         Model::SpgemmFineGrain => {
             return Err(FghError::InvalidInput(format!(
@@ -760,20 +589,40 @@ fn build_spanned<T, E>(
     build()
 }
 
-/// The shared partition + decode tail of the three 1D/2D hypergraph-model
-/// arms: multi-seed partitioning under a `partition` span, decoding under
-/// a `decode` span.
-fn hypergraph_arm<I, D>(
+/// Hands the partitioner the natural (row, col) position of each of the
+/// `n` vertices, but only when the geometric / auto initial scheme asks —
+/// the default GHG path stays allocation-free.
+pub(crate) fn attach_coords<I: IndexType>(
+    pcfg: &mut PartitionConfig,
+    n: usize,
+    position: impl Fn(usize) -> (I, I),
+) {
+    if matches!(pcfg.initial, InitialScheme::Geometric | InitialScheme::Auto) {
+        let coords: Vec<(f32, f32)> = (0..n)
+            .map(|v| {
+                let (r, c) = position(v);
+                // lint: checked-cast — row/col ids as geometric positions; f32 rounding above 2^24 only nudges the sweep order, never indexes
+                (r.index() as f32, c.index() as f32)
+            })
+            .collect();
+        pcfg.coords = Some(Arc::new(coords));
+    }
+}
+
+/// The shared partition + decode tail of the hypergraph-model arms (the
+/// SpMV 1D/2D models and the SpGEMM task model): multi-seed partitioning
+/// under a `partition` span, decoding under a `decode` span.
+pub(crate) fn hypergraph_arm<I, T, D>(
     cfg: &DecomposeConfig,
     pcfg: &PartitionConfig,
     pool: &Arc<ArenaPool>,
     scope: &SpanHandle,
     hg: &fgh_hypergraph::Hypergraph<I>,
     decode: D,
-) -> std::result::Result<(Decomposition, u64, EngineStats), FghError>
+) -> std::result::Result<(T, u64, EngineStats), FghError>
 where
     I: ArenaIndex,
-    D: FnOnce(&fgh_partition::PartitionResult) -> crate::Result<Decomposition>,
+    D: FnOnce(&fgh_partition::PartitionResult) -> crate::Result<T>,
 {
     let ps = scope.child("partition");
     let r = partition_hypergraph_best_traced_in(hg, cfg.k, pcfg, cfg.runs, pool, &ps.handle())?;
@@ -799,6 +648,7 @@ fn objective_volume<I: IndexType>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DecompositionOutcome;
     use fgh_sparse::gen::{self, ValueMode};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -994,6 +844,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wide_capable_hint_names_exactly_the_wide_models() {
+        let hint = Model::wide_capable_names();
+        let named: Vec<&str> = hint.split(", ").collect();
+        for model in Model::ALL {
+            assert_eq!(
+                named.contains(&model.name()),
+                model.supports_wide_indices(),
+                "{}: {hint}",
+                model.name()
+            );
+        }
+        assert!(named.contains(&"spgemm-fine-grain"), "{hint}");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! supported workload ([`workload::decompose_workload`] over
 //! [`workload::Workload::Spmv`] and [`workload::Workload::Spgemm`], plus
 //! the width-erased [`workload::decompose_workload_any`] and its
-//! pool-reusing [`workload::decompose_workload_any_in`]). [`reduction`]
+//! pool-reusing [`workload::decompose_workload_any_in`]), all through one
+//! pipeline into one [`Outcome`] type, which [`report::metrics_document`]
+//! turns into the `fgh-metrics/1` document. [`reduction`]
 //! generalizes the model to arbitrary input/output reduction problems
 //! with optional pre-assigned elements (the paper's §3 remark).
 
@@ -45,20 +47,17 @@ pub mod session;
 pub mod status;
 pub mod workload;
 
-pub use api::{DecomposeConfig, DecomposeIndex, DecompositionOutcome, Model, WorkloadKind};
+pub use api::{DecomposeConfig, DecomposeIndex, Model, WorkloadKind};
 pub use decomp::Decomposition;
 pub use fgh_partition::{ArenaPool, Budget, CancelToken, EngineStats, InitialScheme, Parallelism};
 pub use fgh_trace::{Trace, Tracer};
-pub use metrics::CommStats;
-pub use report::{
-    metrics_document, metrics_json, spgemm_metrics_document, spgemm_metrics_json,
-    validate_metrics_value, METRICS_SCHEMA,
-};
+pub use metrics::{CommStats, CommSummary};
+pub use report::{metrics_document, metrics_json, validate_metrics_value, METRICS_SCHEMA};
 pub use session::EngineSession;
 pub use status::{DecompositionStatus, DegradedReason};
 pub use workload::{
-    decompose_workload, decompose_workload_any, decompose_workload_any_in, SpgemmOutcome, Workload,
-    WorkloadAny, WorkloadOutcome,
+    decompose_workload, decompose_workload_any, decompose_workload_any_in, DecompositionOutcome,
+    Outcome, SpgemmOutcome, Workload, WorkloadAny, WorkloadOutcome,
 };
 
 /// Errors from model construction and decomposition.

@@ -37,6 +37,66 @@ pub struct ProcStats {
     pub load: u64,
 }
 
+/// The communication counters every workload's statistics share: what
+/// the decomposition pipeline's balance check and the `fgh-metrics/1`
+/// `comm` member read. [`CommStats`] (SpMV) and
+/// [`SpgemmCommStats`](crate::models::spgemm::SpgemmCommStats) implement
+/// it; the derived counters are computed here once for both.
+pub trait CommSummary {
+    /// Words moved before the local multiplies (`x` for SpMV, `A` and `B`
+    /// for SpGEMM).
+    fn expand_volume(&self) -> u64;
+    /// Partial-result words moved after them.
+    fn fold_volume(&self) -> u64;
+    /// Messages of the expand phase(s).
+    fn expand_messages(&self) -> u64;
+    /// Messages of the fold phase.
+    fn fold_messages(&self) -> u64;
+    /// Per-processor breakdown, one entry per part.
+    fn per_proc(&self) -> &[ProcStats];
+
+    /// Total words moved (expand + fold).
+    fn total_volume(&self) -> u64 {
+        self.expand_volume() + self.fold_volume()
+    }
+
+    /// Total messages across all phases.
+    fn total_messages(&self) -> u64 {
+        self.expand_messages() + self.fold_messages()
+    }
+
+    /// Maximum messages sent by a single processor.
+    fn max_messages_per_proc(&self) -> u64 {
+        self.per_proc()
+            .iter()
+            .map(|p| p.sent_messages)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Maximum words sent + received by a single processor.
+    fn max_sent_recv_words(&self) -> u64 {
+        self.per_proc()
+            .iter()
+            .map(|p| p.sent_words + p.recv_words)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Percent load imbalance `100 · (max − avg) / avg` over the
+    /// per-processor loads (the paper's formula).
+    fn load_imbalance_percent(&self) -> f64 {
+        let per_proc = self.per_proc();
+        let total: u64 = per_proc.iter().map(|p| p.load).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let avg = total as f64 / per_proc.len() as f64;
+        let max = per_proc.iter().map(|p| p.load).max().unwrap_or(0) as f64;
+        100.0 * (max - avg) / avg
+    }
+}
+
 /// Exact communication requirements of one `y = Ax` under a decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommStats {
@@ -161,7 +221,7 @@ impl CommStats {
     /// Total communication volume in words (expand + fold) — the paper's
     /// primary metric ("tot", scaled by the matrix order when printed).
     pub fn total_volume(&self) -> u64 {
-        self.expand_volume + self.fold_volume
+        CommSummary::total_volume(self)
     }
 
     /// Maximum words *sent* by a single processor — the paper's "max"
@@ -177,16 +237,12 @@ impl CommStats {
     /// Maximum words sent + received by a single processor (extended
     /// metric, not in the paper's table).
     pub fn max_sent_recv_words(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_words + p.recv_words)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_sent_recv_words(self)
     }
 
     /// Total messages across both phases.
     pub fn total_messages(&self) -> u64 {
-        self.expand_messages + self.fold_messages
+        CommSummary::total_messages(self)
     }
 
     /// Average number of messages *sent* per processor — the paper's
@@ -198,11 +254,7 @@ impl CommStats {
 
     /// Maximum messages sent by a single processor.
     pub fn max_messages_per_proc(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .map(|p| p.sent_messages)
-            .max()
-            .unwrap_or(0)
+        CommSummary::max_messages_per_proc(self)
     }
 
     /// Total volume scaled by the matrix order, as printed in Table 2.
@@ -217,13 +269,29 @@ impl CommStats {
 
     /// Percent computational imbalance (same formula as the paper).
     pub fn load_imbalance_percent(&self) -> f64 {
-        let total: u64 = self.per_proc.iter().map(|p| p.load).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let avg = total as f64 / self.k as f64;
-        let max = self.per_proc.iter().map(|p| p.load).max().unwrap_or(0) as f64;
-        100.0 * (max - avg) / avg
+        CommSummary::load_imbalance_percent(self)
+    }
+}
+
+impl CommSummary for CommStats {
+    fn expand_volume(&self) -> u64 {
+        self.expand_volume
+    }
+
+    fn fold_volume(&self) -> u64 {
+        self.fold_volume
+    }
+
+    fn expand_messages(&self) -> u64 {
+        self.expand_messages
+    }
+
+    fn fold_messages(&self) -> u64 {
+        self.fold_messages
+    }
+
+    fn per_proc(&self) -> &[ProcStats] {
+        &self.per_proc
     }
 }
 

@@ -3,9 +3,12 @@
 //!
 //! One decomposition run → one self-describing JSON object carrying the
 //! request, the exact communication statistics, the engine counters, and
-//! (when tracing was on) the full span tree. The CLI's `--metrics-json`
-//! flag writes exactly this document; [`validate_metrics_value`] is the
-//! schema checker the golden tests and downstream tooling share.
+//! (when tracing was on) the full span tree. [`metrics_document`] builds
+//! it for either workload from the [`WorkloadAny`] input and its
+//! [`WorkloadOutcome`]; the CLI's `--metrics-json` flag and the serve
+//! batch responses carry exactly this document, and
+//! [`validate_metrics_value`] is the schema checker the golden tests and
+//! downstream tooling share.
 //!
 //! # Schema `fgh-metrics/1`
 //!
@@ -71,13 +74,13 @@
 use std::collections::BTreeMap;
 
 use fgh_partition::EngineStats;
-use fgh_sparse::{CsrMatrix, IndexType, IndexWidth};
+use fgh_sparse::{AnyCsrMatrix, IndexWidth};
 use fgh_trace::json::{parse, Value};
 use fgh_trace::validate_trace_value;
 
-use crate::api::{DecomposeConfig, DecompositionOutcome};
-use crate::status::DecompositionStatus;
-use crate::workload::SpgemmOutcome;
+use crate::api::DecomposeConfig;
+use crate::metrics::CommSummary;
+use crate::workload::{Outcome, WorkloadAny, WorkloadOutcome};
 
 /// The schema identifier stamped into every document.
 pub const METRICS_SCHEMA: &str = "fgh-metrics/1";
@@ -88,13 +91,33 @@ fn num(n: u64) -> Value {
     Value::Num(n as f64)
 }
 
-fn matrix_obj(nrows: u64, ncols: u64, nnz: u64, width: IndexWidth) -> Value {
+fn matrix_obj(m: &AnyCsrMatrix, width: IndexWidth) -> Value {
     let mut matrix = BTreeMap::new();
-    matrix.insert("nrows".into(), num(nrows));
-    matrix.insert("ncols".into(), num(ncols));
-    matrix.insert("nnz".into(), num(nnz));
+    matrix.insert("nrows".into(), num(m.nrows()));
+    matrix.insert("ncols".into(), num(m.ncols()));
+    matrix.insert("nnz".into(), num(m.nnz() as u64));
     matrix.insert("index_bits".into(), num(width.bits() as u64));
     Value::Obj(matrix)
+}
+
+fn comm_obj(s: &impl CommSummary) -> Value {
+    let mut comm = BTreeMap::new();
+    comm.insert("total_volume".into(), num(s.total_volume()));
+    comm.insert("expand_volume".into(), num(s.expand_volume()));
+    comm.insert("fold_volume".into(), num(s.fold_volume()));
+    comm.insert("expand_messages".into(), num(s.expand_messages()));
+    comm.insert("fold_messages".into(), num(s.fold_messages()));
+    comm.insert("total_messages".into(), num(s.total_messages()));
+    comm.insert(
+        "max_messages_per_proc".into(),
+        num(s.max_messages_per_proc()),
+    );
+    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
+    comm.insert(
+        "load_imbalance_percent".into(),
+        Value::Num(s.load_imbalance_percent()),
+    );
+    Value::Obj(comm)
 }
 
 fn engine_obj(e: &EngineStats) -> Value {
@@ -128,31 +151,60 @@ fn trace_obj(trace: Option<&fgh_trace::Trace>) -> Value {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one assembly point for both workloads
-fn assemble_document(
+/// Assembles the `fgh-metrics/1` document for one decomposition run of
+/// either workload. `workload` must be the input `out` was computed from
+/// (its operands give the `matrix` / `matrix_b` shapes); `traffic` is the
+/// simulator's counter object (see the module docs for its member set)
+/// when the caller replayed a SpGEMM outcome through `fgh-traffic`, else
+/// `None`.
+pub fn metrics_document(
+    workload: WorkloadAny<'_>,
     cfg: &DecomposeConfig,
-    workload: &str,
-    matrix: Value,
-    matrix_b: Value,
-    flops: Value,
-    traffic: Value,
-    status: &DecompositionStatus,
-    objective: u64,
-    elapsed: std::time::Duration,
-    comm: Value,
-    engine: Value,
-    trace: Value,
+    out: &WorkloadOutcome,
+    traffic: Option<&Value>,
 ) -> Value {
+    match out {
+        WorkloadOutcome::Spmv(o) => document(workload, cfg, o, Value::Null, traffic),
+        WorkloadOutcome::Spgemm(o) => {
+            let flops = num(o.decomposition.task_owner.len() as u64);
+            document(workload, cfg, o, flops, traffic)
+        }
+    }
+}
+
+/// [`metrics_document`] serialized to a compact JSON string (what the
+/// CLI writes for `--metrics-json`).
+pub fn metrics_json(
+    workload: WorkloadAny<'_>,
+    cfg: &DecomposeConfig,
+    out: &WorkloadOutcome,
+    traffic: Option<&Value>,
+) -> String {
+    metrics_document(workload, cfg, out, traffic).to_json()
+}
+
+fn document<D, S: CommSummary>(
+    workload: WorkloadAny<'_>,
+    cfg: &DecomposeConfig,
+    out: &Outcome<D, S>,
+    flops: Value,
+    traffic: Option<&Value>,
+) -> Value {
+    let (a, b) = workload.operands();
+    let status = &out.status;
     let mut doc = BTreeMap::new();
     doc.insert("schema".into(), Value::Str(METRICS_SCHEMA.into()));
     doc.insert("model".into(), Value::Str(cfg.model.name().into()));
-    doc.insert("workload".into(), Value::Str(workload.into()));
+    doc.insert("workload".into(), Value::Str(workload.kind().name().into()));
     doc.insert("k".into(), num(cfg.k as u64));
     doc.insert("epsilon".into(), Value::Num(cfg.epsilon));
     doc.insert("seed".into(), num(cfg.seed));
     doc.insert("runs".into(), num(cfg.runs as u64));
-    doc.insert("matrix".into(), matrix);
-    doc.insert("matrix_b".into(), matrix_b);
+    doc.insert("matrix".into(), matrix_obj(a, out.width));
+    doc.insert(
+        "matrix_b".into(),
+        b.map_or(Value::Null, |b| matrix_obj(b, out.width)),
+    );
     doc.insert("flops".into(), flops);
     doc.insert(
         "status".into(),
@@ -179,136 +231,14 @@ fn assemble_document(
             None => Value::Null,
         },
     );
-    doc.insert("objective".into(), num(objective));
-    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+    doc.insert("objective".into(), num(out.objective));
+    let elapsed_ns = out.elapsed.as_nanos().min(u64::MAX as u128) as u64;
     doc.insert("elapsed_ns".into(), num(elapsed_ns));
-    doc.insert("comm".into(), comm);
-    doc.insert("traffic".into(), traffic);
-    doc.insert("engine".into(), engine);
-    doc.insert("trace".into(), trace);
+    doc.insert("comm".into(), comm_obj(&out.stats));
+    doc.insert("traffic".into(), traffic.cloned().unwrap_or(Value::Null));
+    doc.insert("engine".into(), engine_obj(&out.engine));
+    doc.insert("trace".into(), trace_obj(out.trace.as_ref()));
     Value::Obj(doc)
-}
-
-/// Assembles the `fgh-metrics/1` document for one SpMV decomposition
-/// run. `a` must be the matrix the outcome was computed from.
-pub fn metrics_document<I: IndexType>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &DecompositionOutcome,
-) -> Value {
-    let s = &out.stats;
-    let mut comm = BTreeMap::new();
-    comm.insert("total_volume".into(), num(s.total_volume()));
-    comm.insert("expand_volume".into(), num(s.expand_volume));
-    comm.insert("fold_volume".into(), num(s.fold_volume));
-    comm.insert("expand_messages".into(), num(s.expand_messages));
-    comm.insert("fold_messages".into(), num(s.fold_messages));
-    comm.insert("total_messages".into(), num(s.total_messages()));
-    comm.insert(
-        "max_messages_per_proc".into(),
-        num(s.max_messages_per_proc()),
-    );
-    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
-    comm.insert(
-        "load_imbalance_percent".into(),
-        Value::Num(s.load_imbalance_percent()),
-    );
-
-    assemble_document(
-        cfg,
-        "spmv",
-        matrix_obj(
-            a.nrows().as_u64(),
-            a.ncols().as_u64(),
-            out.decomposition.nonzero_owner.len() as u64,
-            out.width,
-        ),
-        Value::Null,
-        Value::Null,
-        Value::Null,
-        &out.status,
-        out.objective,
-        out.elapsed,
-        Value::Obj(comm),
-        engine_obj(&out.engine),
-        trace_obj(out.trace.as_ref()),
-    )
-}
-
-/// [`metrics_document`] serialized to a compact JSON string (what the
-/// CLI writes for `--metrics-json`).
-pub fn metrics_json<I: IndexType>(
-    a: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &DecompositionOutcome,
-) -> String {
-    metrics_document(a, cfg, out).to_json()
-}
-
-/// Assembles the `fgh-metrics/1` document for one SpGEMM decomposition
-/// run. `a`/`b` must be the operands the outcome was computed from;
-/// `traffic` is the simulator's counter object (see the module docs for
-/// its member set) when the caller ran `fgh-traffic`, else `None`.
-pub fn spgemm_metrics_document<I: IndexType>(
-    a: &CsrMatrix<I>,
-    b: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &SpgemmOutcome,
-    traffic: Option<&Value>,
-) -> Value {
-    let s = &out.stats;
-    let mut comm = BTreeMap::new();
-    comm.insert("total_volume".into(), num(s.total_volume()));
-    comm.insert("expand_volume".into(), num(s.expand_volume()));
-    comm.insert("fold_volume".into(), num(s.fold_volume));
-    comm.insert("expand_messages".into(), num(s.expand_messages()));
-    comm.insert("fold_messages".into(), num(s.fold_messages));
-    comm.insert("total_messages".into(), num(s.total_messages()));
-    comm.insert(
-        "max_messages_per_proc".into(),
-        num(s.max_messages_per_proc()),
-    );
-    comm.insert("max_sent_recv_words".into(), num(s.max_sent_recv_words()));
-    comm.insert(
-        "load_imbalance_percent".into(),
-        Value::Num(s.load_imbalance_percent()),
-    );
-
-    assemble_document(
-        cfg,
-        "spgemm",
-        matrix_obj(
-            a.nrows().as_u64(),
-            a.ncols().as_u64(),
-            a.nnz() as u64,
-            out.width,
-        ),
-        matrix_obj(
-            b.nrows().as_u64(),
-            b.ncols().as_u64(),
-            b.nnz() as u64,
-            out.width,
-        ),
-        num(out.flops),
-        traffic.cloned().unwrap_or(Value::Null),
-        &out.status,
-        out.objective,
-        out.elapsed,
-        Value::Obj(comm),
-        engine_obj(&out.engine),
-        trace_obj(out.trace.as_ref()),
-    )
-}
-
-/// [`spgemm_metrics_document`] serialized to a compact JSON string.
-pub fn spgemm_metrics_json<I: IndexType>(
-    a: &CsrMatrix<I>,
-    b: &CsrMatrix<I>,
-    cfg: &DecomposeConfig,
-    out: &SpgemmOutcome,
-    traffic: Option<&Value>,
-) -> String {
-    spgemm_metrics_document(a, b, cfg, out, traffic).to_json()
 }
 
 const TOP_MEMBERS: [&str; 18] = [
@@ -531,35 +461,38 @@ pub fn validate_metrics_value(v: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{DecomposeIndex, Model};
-    use crate::workload::{decompose_workload, Workload, WorkloadOutcome};
+    use crate::api::Model;
+    use crate::workload::decompose_workload_any;
     use fgh_sparse::gen::{self, ValueMode};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn decompose<I: DecomposeIndex>(
-        a: &CsrMatrix<I>,
+    /// Decomposes `workload` and renders its document.
+    fn run(
+        workload: WorkloadAny<'_>,
         cfg: &DecomposeConfig,
-    ) -> std::result::Result<crate::api::DecompositionOutcome, crate::FghError> {
-        decompose_workload(Workload::Spmv(a), cfg).and_then(WorkloadOutcome::into_spmv)
+        traffic: Option<&Value>,
+    ) -> (String, WorkloadOutcome) {
+        let out = decompose_workload_any(workload, cfg).unwrap();
+        (metrics_json(workload, cfg, &out, traffic), out)
     }
 
-    fn matrix() -> CsrMatrix {
-        gen::grid5(
+    fn matrix() -> AnyCsrMatrix {
+        AnyCsrMatrix::U32(gen::grid5(
             12,
             12,
             1.0,
             ValueMode::Ones,
             &mut SmallRng::seed_from_u64(3),
-        )
+        ))
     }
 
     #[test]
     fn document_round_trips_and_validates() {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::FineGrain2D, 4).with_trace(true);
-        let out = decompose(&a, &cfg).unwrap();
-        let text = metrics_json(&a, &cfg, &out);
+        let (text, out) = run(WorkloadAny::Spmv(&a), &cfg, None);
+        let out = out.into_spmv().unwrap();
         let v = parse(&text).unwrap();
         validate_metrics_value(&v).unwrap();
         assert_eq!(v.get("model").unwrap().as_str(), Some("fine-grain-2d"));
@@ -583,8 +516,7 @@ mod tests {
     fn untraced_document_has_null_trace() {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::Graph1D, 2);
-        let out = decompose(&a, &cfg).unwrap();
-        let v = parse(&metrics_json(&a, &cfg, &out)).unwrap();
+        let v = parse(&run(WorkloadAny::Spmv(&a), &cfg, None).0).unwrap();
         validate_metrics_value(&v).unwrap();
         assert!(v.get("trace").unwrap().is_null());
     }
@@ -593,8 +525,7 @@ mod tests {
     fn validator_rejects_mutations() {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::FineGrain2D, 2).with_trace(true);
-        let out = decompose(&a, &cfg).unwrap();
-        let good = metrics_json(&a, &cfg, &out);
+        let good = run(WorkloadAny::Spmv(&a), &cfg, None).0;
         for (needle, replacement, why) in [
             (
                 r#""schema":"fgh-metrics/1""#,
@@ -650,17 +581,18 @@ mod tests {
     fn spgemm_document_round_trips_and_validates() {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::SpgemmFineGrain, 4).with_trace(true);
-        let out = decompose_workload(Workload::Spgemm(&a, &a), &cfg)
-            .unwrap()
-            .into_spgemm()
-            .unwrap();
         let traffic = traffic_fixture();
-        let text = spgemm_metrics_json(&a, &a, &cfg, &out, Some(&traffic));
+        let workload = WorkloadAny::Spgemm(&a, &a);
+        let (text, out) = run(workload, &cfg, Some(&traffic));
         let v = parse(&text).unwrap();
         validate_metrics_value(&v).unwrap();
         assert_eq!(v.get("workload").unwrap().as_str(), Some("spgemm"));
         assert_eq!(v.get("model").unwrap().as_str(), Some("spgemm-fine-grain"));
-        assert_eq!(v.get("flops").unwrap().as_u64(), Some(out.flops));
+        let out = out.into_spgemm().unwrap();
+        assert_eq!(
+            v.get("flops").unwrap().as_u64(),
+            Some(out.decomposition.task_owner.len() as u64)
+        );
         assert_eq!(
             v.get("matrix_b").unwrap().get("nnz").unwrap().as_u64(),
             Some(a.nnz() as u64)
@@ -680,7 +612,8 @@ mod tests {
         assert!(!v.get("trace").unwrap().is_null());
 
         // Without the simulator the member is null and still validates.
-        let v = parse(&spgemm_metrics_json(&a, &a, &cfg, &out, None)).unwrap();
+        let out = WorkloadOutcome::Spgemm(out);
+        let v = parse(&metrics_json(workload, &cfg, &out, None)).unwrap();
         validate_metrics_value(&v).unwrap();
         assert!(v.get("traffic").unwrap().is_null());
     }
@@ -689,12 +622,8 @@ mod tests {
     fn spgemm_validator_rejects_traffic_mutations() {
         let a = matrix();
         let cfg = DecomposeConfig::new(Model::SpgemmFineGrain, 2);
-        let out = decompose_workload(Workload::Spgemm(&a, &a), &cfg)
-            .unwrap()
-            .into_spgemm()
-            .unwrap();
         let traffic = traffic_fixture();
-        let good = spgemm_metrics_json(&a, &a, &cfg, &out, Some(&traffic));
+        let good = run(WorkloadAny::Spgemm(&a, &a), &cfg, Some(&traffic)).0;
         parse(&good)
             .ok()
             .map(|v| validate_metrics_value(&v).unwrap())

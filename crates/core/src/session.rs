@@ -89,8 +89,9 @@ impl Default for EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{DecompositionOutcome, Model};
+    use crate::api::Model;
     use crate::workload::{decompose_workload_any_in, Workload, WorkloadAny};
+    use crate::DecompositionOutcome;
     use fgh_partition::CancelToken;
     use fgh_sparse::gen::{self, ValueMode};
     use fgh_sparse::{AnyCsrMatrix, CsrMatrix};

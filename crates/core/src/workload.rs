@@ -1,37 +1,45 @@
-//! The workload-generic decomposition API: one entry point for every
-//! workload the models decompose.
+//! The workload-generic decomposition API: one entry point, one pipeline
+//! and one outcome type for every workload the models decompose.
 //!
 //! [`Workload`] names *what* runs in parallel — an SpMV `y = Ax` over one
 //! square matrix, or an SpGEMM `C = A · B` over a conformable pair — and
-//! [`decompose_workload`] dispatches it to the matching pipeline under
-//! one [`DecomposeConfig`]. The config's [`Model`](crate::Model) is
-//! coupled to the workload family via
-//! [`Model::workload`](crate::Model::workload): an SpMV model on a SpGEMM
-//! workload (or vice versa) is a typed [`FghError::InvalidInput`], never
-//! a silent reinterpretation.
+//! [`decompose_workload`] runs it through the one decomposition pipeline
+//! under one [`DecomposeConfig`]. The pipeline is the paper's method
+//! whatever the workload: vertices are work units, nets are the words
+//! that move, connectivity−1 is the exact volume. It validates the
+//! request, opens the `decompose` trace span and the `elapsed` window,
+//! serves empty inputs a trivial decomposition, runs the model, falls
+//! back to round-robin when a degenerate K defeats it, computes the
+//! exact statistics and attributes the status; only the model attempt,
+//! the work units and the statistics differ between the two workload
+//! families. The config's [`Model`](crate::Model) is coupled to the
+//! workload family via [`Model::workload`](crate::Model::workload): an
+//! SpMV model on a SpGEMM workload (or vice versa) is a typed
+//! [`FghError::InvalidInput`], never a silent reinterpretation.
 //!
 //! There are three entry points. [`decompose_workload`] is width-generic
 //! ([`Workload`] over `u32`/`u64` indices). [`decompose_workload_any`]
-//! is width-erased ([`WorkloadAny`]): it auto-upgrades a `u32` carrier
+//! is width-erased ([`WorkloadAny`]): it auto-upgrades `u32` carriers
 //! when the model's hypergraph would overflow 32-bit ids — for SpGEMM
 //! that is driven by the *flop count*, which overflows long before either
 //! matrix's own indices do. [`decompose_workload_any_in`] is the same
 //! with partitioner scratch drawn from a caller-owned [`ArenaPool`], for
-//! long-lived callers such as [`crate::EngineSession`].
+//! long-lived callers such as [`crate::EngineSession`]. Every entry point
+//! returns a [`WorkloadOutcome`], whose variants are the one generic
+//! [`Outcome`] at each family's decomposition and statistics types.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fgh_partition::{
-    partition_hypergraph_best_traced_in, ArenaPool, EngineStats, InitialScheme, Parallelism,
-};
+use fgh_partition::{ArenaPool, EngineStats};
 use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexWidth};
-use fgh_trace::{Trace, Tracer};
+use fgh_trace::{SpanHandle, Trace, Tracer};
 
 use crate::api::{
-    degradation_status, spmv_pipeline_any_in, spmv_pipeline_in, DecomposeConfig, DecomposeIndex,
-    DecompositionOutcome, WorkloadKind,
+    attach_coords, hypergraph_arm, DecomposeConfig, DecomposeIndex, SpmvFamily, WorkloadKind,
 };
+use crate::decomp::Decomposition;
+use crate::metrics::{CommStats, CommSummary};
 use crate::models::spgemm::{spgemm_flops, SpgemmCommStats, SpgemmDecomposition, SpgemmModel};
 use crate::status::{DecompositionStatus, DegradedReason};
 use crate::FghError;
@@ -68,12 +76,130 @@ pub enum WorkloadAny<'a> {
     Spgemm(&'a AnyCsrMatrix, &'a AnyCsrMatrix),
 }
 
-impl WorkloadAny<'_> {
+impl<'a> WorkloadAny<'a> {
     /// Which workload family this is.
     pub fn kind(&self) -> WorkloadKind {
         match self {
             WorkloadAny::Spmv(_) => WorkloadKind::Spmv,
             WorkloadAny::Spgemm(..) => WorkloadKind::Spgemm,
+        }
+    }
+
+    /// The operands: `A`, and `B` for a SpGEMM workload.
+    pub(crate) fn operands(&self) -> (&'a AnyCsrMatrix, Option<&'a AnyCsrMatrix>) {
+        match *self {
+            WorkloadAny::Spmv(a) => (a, None),
+            WorkloadAny::Spgemm(a, b) => (a, Some(b)),
+        }
+    }
+
+    /// The index width [`decompose_workload_any`] runs this workload at:
+    /// wide when the `force-u64` build routes everything wide, when any
+    /// carrier is already wide, when any operand's own shape needs it
+    /// ([`IndexWidth::select`] sizes the fine-grain hypergraph: nnz +
+    /// dummies vertices, `2M` nets), or — for SpGEMM — when the flop count
+    /// (task-hypergraph vertices) or the net-count bound (used A + used B
+    /// + nnz(C) ≤ nnz(A) + nnz(B) + flops) would overflow `u32` ids.
+    fn index_width(&self) -> IndexWidth {
+        let (a, b) = self.operands();
+        let wide = |m: &AnyCsrMatrix| {
+            m.width() == IndexWidth::U64
+                || IndexWidth::select(m.nrows(), m.ncols(), m.nnz() as u64) == IndexWidth::U64
+        };
+        if cfg!(feature = "force-u64") || wide(a) || b.is_some_and(wide) {
+            return IndexWidth::U64;
+        }
+        let Some(b) = b else {
+            return IndexWidth::U32;
+        };
+        let flops = match (a.as_u32(), b.as_u32()) {
+            (Some(a), Some(b)) => spgemm_flops(a, b),
+            // Unreachable (wide carriers returned above), but total.
+            _ => u64::MAX,
+        };
+        let nets_bound = flops
+            .saturating_add(a.nnz() as u64)
+            .saturating_add(b.nnz() as u64);
+        if nets_bound >= u32::MAX as u64 {
+            IndexWidth::U64
+        } else {
+            IndexWidth::U32
+        }
+    }
+}
+
+/// The result of a decomposition, for either workload family: the
+/// decoded mapping `D`, its exact communication statistics `S`, the
+/// model's objective, wall-clock time, status, and what the engine did.
+/// [`DecompositionOutcome`] and [`SpgemmOutcome`] name its two
+/// instances.
+#[derive(Debug, Clone)]
+pub struct Outcome<D, S> {
+    /// The decoded decomposition.
+    pub decomposition: D,
+    /// Exact communication statistics, replayed from the decomposition —
+    /// ground truth independent of any model's objective.
+    pub stats: S,
+    /// The objective the partitioner minimized: edge cut for
+    /// [`Model::Graph1D`](crate::Model::Graph1D), connectivity−1 cutsize
+    /// for the hypergraph models (equal to `stats.total_volume()` — the
+    /// models' exactness property), the exact decoded volume for the
+    /// composite 2D models.
+    pub objective: u64,
+    /// Partitioning wall-clock time (model build + partitioning + decode).
+    pub elapsed: Duration,
+    /// Full or degraded, with the reason when degraded.
+    pub status: DecompositionStatus,
+    /// The index width the decomposition ran at: `U32` for the fast path,
+    /// `U64` for the big path (via [`decompose_workload_any`]'s
+    /// auto-upgrade or a caller's own wide matrix).
+    pub width: IndexWidth,
+    /// Multilevel engine statistics, including budget-truncation counters.
+    /// For the single-partition models this is the winning run's stats;
+    /// for the composite models ([`Model::Mondriaan2D`],
+    /// [`Model::Jagged2D`], [`Model::CheckerboardHg2D`]) it is the
+    /// **aggregate** over every internal engine run (merged counters —
+    /// [`Model::CheckerboardHg2D`]'s phase-2 multi-constraint partitioner
+    /// reports its placement and refinement work in the same vocabulary,
+    /// with coarsening counters untouched). Zeroed
+    /// only for [`Model::Checkerboard2D`], which builds its decomposition
+    /// directly without any partitioner.
+    ///
+    /// [`Model::Mondriaan2D`]: crate::Model::Mondriaan2D
+    /// [`Model::Jagged2D`]: crate::Model::Jagged2D
+    /// [`Model::CheckerboardHg2D`]: crate::Model::CheckerboardHg2D
+    /// [`Model::Checkerboard2D`]: crate::Model::Checkerboard2D
+    pub engine: EngineStats,
+    /// Structured execution trace, recorded when
+    /// [`DecomposeConfig::trace`] was set: a tree of per-phase spans
+    /// (monotonic start + duration, engine counters) rooted at
+    /// `decompose`. `None` when tracing was off.
+    pub trace: Option<Trace>,
+}
+
+/// The outcome of an SpMV decomposition.
+pub type DecompositionOutcome = Outcome<Decomposition, CommStats>;
+
+/// The outcome of a SpGEMM decomposition (task, A, B, and C owners). Its
+/// flop count is `decomposition.task_owner.len()`.
+pub type SpgemmOutcome = Outcome<SpgemmDecomposition, SpgemmCommStats>;
+
+impl<D, S> Outcome<D, S> {
+    /// Strict-mode check: returns the outcome unchanged when
+    /// [`DecompositionStatus::Full`], otherwise converts the degradation
+    /// into a typed error — [`FghError::BudgetExhausted`] when a budget
+    /// limit truncated the run, [`FghError::Cancelled`] when a cancel
+    /// token stopped it, [`FghError::Infeasible`] otherwise.
+    pub fn into_strict(self) -> std::result::Result<Self, FghError> {
+        match &self.status {
+            DecompositionStatus::Full => Ok(self),
+            DecompositionStatus::Degraded { reason } => match reason {
+                DegradedReason::BudgetExhausted { .. } => {
+                    Err(FghError::BudgetExhausted(reason.to_string()))
+                }
+                DegradedReason::Cancelled => Err(FghError::Cancelled(reason.to_string())),
+                _ => Err(FghError::Infeasible(reason.to_string())),
+            },
         }
     }
 }
@@ -107,22 +233,6 @@ impl WorkloadOutcome {
         }
     }
 
-    /// The SpMV outcome, if this is one.
-    pub fn as_spmv(&self) -> Option<&DecompositionOutcome> {
-        match self {
-            WorkloadOutcome::Spmv(o) => Some(o),
-            WorkloadOutcome::Spgemm(_) => None,
-        }
-    }
-
-    /// The SpGEMM outcome, if this is one.
-    pub fn as_spgemm(&self) -> Option<&SpgemmOutcome> {
-        match self {
-            WorkloadOutcome::Spgemm(o) => Some(o),
-            WorkloadOutcome::Spmv(_) => None,
-        }
-    }
-
     /// Unwraps the SpMV outcome; a typed error (never a panic) when the
     /// outcome belongs to another family.
     pub fn into_spmv(self) -> std::result::Result<DecompositionOutcome, FghError> {
@@ -147,8 +257,7 @@ impl WorkloadOutcome {
         }
     }
 
-    /// Strict-mode check for either family — see
-    /// [`DecompositionOutcome::into_strict`].
+    /// [`Outcome::into_strict`] for either family.
     pub fn into_strict(self) -> std::result::Result<Self, FghError> {
         match self {
             WorkloadOutcome::Spmv(o) => o.into_strict().map(WorkloadOutcome::Spmv),
@@ -157,58 +266,11 @@ impl WorkloadOutcome {
     }
 }
 
-/// The result of a SpGEMM decomposition — the SpGEMM face of
-/// [`DecompositionOutcome`], with the same status / engine / trace
-/// contract.
-#[derive(Debug, Clone)]
-pub struct SpgemmOutcome {
-    /// The decoded decomposition (task, A, B, and C owners).
-    pub decomposition: SpgemmDecomposition,
-    /// Exact communication statistics, replayed from the decomposition —
-    /// ground truth independent of the model's objective.
-    pub stats: SpgemmCommStats,
-    /// The connectivity−1 cutsize the partitioner minimized. Equals
-    /// `stats.total_volume()` for decoded outcomes (the model's exactness
-    /// property, cross-checked by the `fgh-traffic` simulator).
-    pub objective: u64,
-    /// Multiply-task count (= flops of the numeric product).
-    pub flops: u64,
-    /// Wall-clock time (model build + partitioning + decode).
-    pub elapsed: Duration,
-    /// Full or degraded, with the reason when degraded.
-    pub status: DecompositionStatus,
-    /// The index width the decomposition ran at.
-    pub width: IndexWidth,
-    /// Multilevel engine statistics (budget-truncation counters
-    /// included).
-    pub engine: EngineStats,
-    /// Structured execution trace when [`DecomposeConfig::trace`] was
-    /// set; `None` otherwise.
-    pub trace: Option<Trace>,
-}
-
-impl SpgemmOutcome {
-    /// Strict-mode check — same contract as
-    /// [`DecompositionOutcome::into_strict`].
-    pub fn into_strict(self) -> std::result::Result<Self, FghError> {
-        match &self.status {
-            DecompositionStatus::Full => Ok(self),
-            DecompositionStatus::Degraded { reason } => match reason {
-                DegradedReason::BudgetExhausted { .. } => {
-                    Err(FghError::BudgetExhausted(reason.to_string()))
-                }
-                DegradedReason::Cancelled => Err(FghError::Cancelled(reason.to_string())),
-                _ => Err(FghError::Infeasible(reason.to_string())),
-            },
-        }
-    }
-}
-
 /// Decomposes a workload for `cfg.k` processors with the configured
 /// model.
 ///
-/// Dispatch is total: a [`Workload::Spmv`] input runs the SpMV pipeline
-/// and returns [`WorkloadOutcome::Spmv`]; a [`Workload::Spgemm`] input
+/// Dispatch is total: a [`Workload::Spmv`] input runs the SpMV models and
+/// returns [`WorkloadOutcome::Spmv`]; a [`Workload::Spgemm`] input
 /// builds the fine-grain SpGEMM task hypergraph, partitions it with the
 /// same multilevel engine, and returns [`WorkloadOutcome::Spgemm`].
 ///
@@ -233,11 +295,7 @@ pub fn decompose_workload<I: DecomposeIndex>(
     workload: Workload<'_, I>,
     cfg: &DecomposeConfig,
 ) -> std::result::Result<WorkloadOutcome, FghError> {
-    let pool = Arc::new(ArenaPool::new());
-    match workload {
-        Workload::Spmv(a) => spmv_pipeline_in(a, cfg, &pool).map(WorkloadOutcome::Spmv),
-        Workload::Spgemm(a, b) => spgemm_pipeline_in(a, b, cfg, &pool).map(WorkloadOutcome::Spgemm),
-    }
+    decompose_in(workload, cfg, &Arc::new(ArenaPool::new()))
 }
 
 /// [`decompose_workload`] over width-erased carriers, choosing the index
@@ -271,93 +329,100 @@ pub fn decompose_workload_any_in(
     cfg: &DecomposeConfig,
     pool: &Arc<ArenaPool>,
 ) -> std::result::Result<WorkloadOutcome, FghError> {
+    match workload.index_width() {
+        IndexWidth::U32 => decompose_at::<u32>(workload, cfg, pool),
+        IndexWidth::U64 => decompose_at::<u64>(workload, cfg, pool),
+    }
+}
+
+/// Runs a width-erased workload at index width `I`, converting carriers
+/// that are not already at it.
+fn decompose_at<I: DecomposeIndex>(
+    workload: WorkloadAny<'_>,
+    cfg: &DecomposeConfig,
+    pool: &Arc<ArenaPool>,
+) -> std::result::Result<WorkloadOutcome, FghError> {
     match workload {
-        WorkloadAny::Spmv(a) => spmv_pipeline_any_in(a, cfg, pool).map(WorkloadOutcome::Spmv),
+        WorkloadAny::Spmv(a) => decompose_in(Workload::Spmv(&*I::from_any(a)?), cfg, pool),
         WorkloadAny::Spgemm(a, b) => {
-            spgemm_pipeline_any_in(a, b, cfg, pool).map(WorkloadOutcome::Spgemm)
+            let (a, b) = (I::from_any(a)?, I::from_any(b)?);
+            decompose_in(Workload::Spgemm(&*a, &*b), cfg, pool)
         }
     }
 }
 
-/// Width choice for a SpGEMM pair: wide when either carrier is already
-/// wide, when either matrix's own shape demands it, when the flop count
-/// (task-hypergraph vertices) or the net-count upper bound (used A +
-/// used B + nnz(C) ≤ nnz(A) + nnz(B) + flops) would overflow `u32` ids,
-/// or when the `force-u64` build routes everything wide.
-fn spgemm_width(a: &AnyCsrMatrix, b: &AnyCsrMatrix) -> IndexWidth {
-    if cfg!(feature = "force-u64")
-        || matches!(a, AnyCsrMatrix::U64(_))
-        || matches!(b, AnyCsrMatrix::U64(_))
-        || IndexWidth::select(a.nrows(), a.ncols(), a.nnz() as u64) == IndexWidth::U64
-        || IndexWidth::select(b.nrows(), b.ncols(), b.nnz() as u64) == IndexWidth::U64
-    {
-        return IndexWidth::U64;
-    }
-    let flops = match (a, b) {
-        (AnyCsrMatrix::U32(a32), AnyCsrMatrix::U32(b32)) => spgemm_flops(a32, b32),
-        // Unreachable (wide carriers returned above), but total.
-        _ => u64::MAX,
-    };
-    let nets_bound = flops
-        .saturating_add(a.nnz() as u64)
-        .saturating_add(b.nnz() as u64);
-    if nets_bound >= u32::MAX as u64 {
-        IndexWidth::U64
-    } else {
-        IndexWidth::U32
-    }
-}
-
-fn spgemm_pipeline_any_in(
-    a: &AnyCsrMatrix,
-    b: &AnyCsrMatrix,
+fn decompose_in<I: DecomposeIndex>(
+    workload: Workload<'_, I>,
     cfg: &DecomposeConfig,
     pool: &Arc<ArenaPool>,
-) -> std::result::Result<SpgemmOutcome, FghError> {
-    match spgemm_width(a, b) {
-        IndexWidth::U32 => match (a, b) {
-            (AnyCsrMatrix::U32(a32), AnyCsrMatrix::U32(b32)) => {
-                spgemm_pipeline_in(a32, b32, cfg, pool)
-            }
-            // spgemm_width only answers U32 for a pair of U32 carriers.
-            _ => Err(FghError::InvalidInput(
-                "width selection chose u32 for a wide carrier".into(),
-            )),
-        },
-        IndexWidth::U64 => {
-            let wide_a;
-            let a64: &CsrMatrix<u64> = match a {
-                AnyCsrMatrix::U64(m) => m,
-                AnyCsrMatrix::U32(m) => {
-                    wide_a = m.convert_width()?;
-                    &wide_a
-                }
-            };
-            let wide_b;
-            let b64: &CsrMatrix<u64> = match b {
-                AnyCsrMatrix::U64(m) => m,
-                AnyCsrMatrix::U32(m) => {
-                    wide_b = m.convert_width()?;
-                    &wide_b
-                }
-            };
-            spgemm_pipeline_in(a64, b64, cfg, pool)
+) -> std::result::Result<WorkloadOutcome, FghError> {
+    match workload {
+        Workload::Spmv(a) => {
+            run_pipeline(cfg, pool, |_| SpmvFamily::new(a)).map(WorkloadOutcome::Spmv)
         }
+        Workload::Spgemm(a, b) => run_pipeline(cfg, pool, |scope| {
+            let _span = scope.child("model-build");
+            Ok(SpgemmFamily(SpgemmModel::build(a, b)?))
+        })
+        .map(WorkloadOutcome::Spgemm),
     }
 }
 
-/// The SpGEMM pipeline: model build → multilevel partition → first-pin
-/// decode → exact replayed statistics, with the same degenerate-input
-/// and budget-degradation semantics as the SpMV pipeline.
-fn spgemm_pipeline_in<I: DecomposeIndex>(
-    a: &CsrMatrix<I>,
-    b: &CsrMatrix<I>,
+/// One workload family's side of [`run_pipeline`]: everything the shared
+/// skeleton does not know.
+pub(crate) trait Family {
+    /// The workload family, checked against the config's model.
+    const KIND: WorkloadKind;
+    /// The index width the family's matrices are carried at.
+    const WIDTH: IndexWidth;
+    /// The decoded mapping.
+    type Decomposition;
+    /// Its exact communication statistics.
+    type Stats: CommSummary;
+
+    /// The units the K processors share: nonzeros (SpMV) or multiply
+    /// tasks (SpGEMM).
+    fn work_units(&self) -> u64;
+
+    /// The trivial decomposition served when there are no work units.
+    fn empty(&self, k: u32) -> std::result::Result<Self::Decomposition, FghError>;
+
+    /// The configured model's build, partition and decode, recorded under
+    /// `scope`: the decomposition, the model's objective and the engine
+    /// statistics.
+    fn attempt(
+        &self,
+        cfg: &DecomposeConfig,
+        pool: &Arc<ArenaPool>,
+        scope: &SpanHandle,
+    ) -> std::result::Result<(Self::Decomposition, u64, EngineStats), FghError>;
+
+    /// A valid round-robin decomposition for a degenerate K the model
+    /// could not handle.
+    fn round_robin(&self, k: u32) -> std::result::Result<Self::Decomposition, FghError>;
+
+    /// Exact communication statistics of `d`.
+    fn stats(&self, d: &Self::Decomposition) -> std::result::Result<Self::Stats, FghError>;
+}
+
+/// The decomposition pipeline both workload families run through.
+/// `prepare` sets the family up (under the root `decompose` span, inside
+/// the timed window); the skeleton validates the request, serves empty
+/// inputs and degenerate K, and attributes the status. `elapsed` and the
+/// root span cover model build, partition and decode; statistics are
+/// computed outside both.
+fn run_pipeline<F: Family>(
     cfg: &DecomposeConfig,
     pool: &Arc<ArenaPool>,
-) -> std::result::Result<SpgemmOutcome, FghError> {
-    if cfg.model.workload() != WorkloadKind::Spgemm {
+    prepare: impl FnOnce(&SpanHandle) -> std::result::Result<F, FghError>,
+) -> std::result::Result<Outcome<F::Decomposition, F::Stats>, FghError> {
+    if cfg.model.workload() != F::KIND {
+        let family = match F::KIND {
+            WorkloadKind::Spmv => "SpMV",
+            WorkloadKind::Spgemm => "SpGEMM",
+        };
         return Err(FghError::InvalidInput(format!(
-            "model {} decomposes a {} workload, not SpGEMM",
+            "model {} decomposes a {} workload, not {family}",
             cfg.model.name(),
             cfg.model.workload()
         )));
@@ -379,133 +444,164 @@ fn spgemm_pipeline_in<I: DecomposeIndex>(
     };
     let start = Instant::now();
     let root = tracer.span("decompose");
+    let family = prepare(&root.handle())?;
 
-    let model = {
-        let _mb = root.handle().child("model-build");
-        SpgemmModel::build(a, b)?
-    };
-    let flops = model.structure().num_tasks() as u64;
-
-    // Degenerate product (no multiply task at all): a trivial empty
-    // decomposition, tagged like the empty-matrix SpMV case.
-    if flops == 0 {
-        let decomposition = SpgemmDecomposition {
+    let units = family.work_units();
+    // Degenerate inputs are served a trivial decomposition up front rather
+    // than fed to partitioners that assume at least one unit of work.
+    let (decomposition, objective, engine, forced_reason) = if units == 0 {
+        let d = family.empty(cfg.k)?;
+        (
+            d,
+            0,
+            EngineStats::default(),
+            Some(DegradedReason::EmptyMatrix),
+        )
+    } else {
+        let degenerate = |fallback| DegradedReason::DegenerateK {
             k: cfg.k,
-            task_owner: Vec::new(),
-            a_owner: Vec::new(),
-            b_owner: Vec::new(),
-            c_owner: Vec::new(),
+            nnz: units,
+            fallback,
         };
-        let stats = SpgemmCommStats::compute_with(model.structure(), &decomposition)?;
-        let elapsed = start.elapsed();
-        drop(root);
-        return Ok(SpgemmOutcome {
-            decomposition,
-            stats,
-            objective: 0,
-            flops: 0,
-            elapsed,
-            status: DecompositionStatus::Degraded {
-                reason: DegradedReason::EmptyMatrix,
-            },
-            width: I::WIDTH,
-            engine: EngineStats::default(),
-            trace: sink.map(|s| s.build_trace()),
-        });
-    }
-
-    let mut forced_reason: Option<DegradedReason> = None;
-    if cfg.k as u64 > flops {
-        forced_reason = Some(DegradedReason::DegenerateK {
-            k: cfg.k,
-            nnz: flops,
-            fallback: None,
-        });
-    }
-
-    let attempt = (|| -> std::result::Result<(SpgemmDecomposition, u64, EngineStats), FghError> {
-        let mut pcfg = cfg.partition_config();
-        if matches!(cfg.initial, InitialScheme::Geometric | InitialScheme::Auto) {
-            // Tasks have natural (row, col) positions in the product.
-            let coords: Vec<(f32, f32)> = (0..model.structure().num_tasks())
-                .map(|t| {
-                    let (r, c) = model.coords(t);
-                    // lint: checked-cast — ids as geometric positions; f32 rounding above 2^24 only nudges the sweep order, never indexes
-                    (r.index() as f32, c.index() as f32)
-                })
-                .collect();
-            pcfg.coords = Some(Arc::new(coords));
-        }
-        let ps = root.handle().child("partition");
-        let r = partition_hypergraph_best_traced_in(
-            model.hypergraph(),
-            cfg.k,
-            &pcfg,
-            cfg.runs,
-            pool,
-            &ps.handle(),
-        )?;
-        drop(ps);
-        let ds = root.handle().child("decode");
-        let d = model.decode(&r.partition)?;
-        drop(ds);
-        Ok((d, r.cutsize, r.stats))
-    })();
-
-    let (decomposition, objective, engine) = match attempt {
-        Ok(t) => t,
-        Err(e) if forced_reason.is_some() => {
-            // The engine choked on the degenerate K; round-robin the
-            // tasks instead of failing, keeping the reason visible. The
-            // first-pin decode keeps the exact-volume property.
-            forced_reason = Some(DegradedReason::DegenerateK {
-                k: cfg.k,
-                nnz: flops,
-                fallback: Some(format!(
+        let forced = (cfg.k as u64 > units).then(|| degenerate(None));
+        match family.attempt(cfg, pool, &root.handle()) {
+            Ok((d, objective, engine)) => (d, objective, engine, forced),
+            Err(e) if forced.is_some() => {
+                // The model choked on the degenerate K; fall back instead
+                // of failing, keeping the reason visible.
+                let d = family.round_robin(cfg.k)?;
+                let volume = family.stats(&d)?.total_volume();
+                let reason = degenerate(Some(format!(
                     "{} failed on degenerate input: {e}",
                     cfg.model.name()
-                )),
-            });
-            let parts: Vec<u32> = (0..model.structure().num_tasks())
-                .map(|t| (t % cfg.k as usize) as u32) // lint: checked-cast — value < k, a u32
-                .collect();
-            let p = fgh_hypergraph::Partition::new(cfg.k, parts)
-                .map_err(fgh_partition::PartitionError::from)?;
-            let d = model.decode(&p)?;
-            let vol = SpgemmCommStats::compute_with(model.structure(), &d)?.total_volume();
-            (d, vol, EngineStats::default())
+                )));
+                (d, volume, EngineStats::default(), Some(reason))
+            }
+            Err(e) => return Err(e),
         }
-        Err(e) => return Err(e),
     };
     let elapsed = start.elapsed();
     drop(root);
     let trace = sink.map(|s| s.build_trace());
-    let stats = SpgemmCommStats::compute_with(model.structure(), &decomposition)?;
-
+    let stats = family.stats(&decomposition)?;
     let status = degradation_status(
         forced_reason,
         &engine,
         cfg,
         stats.load_imbalance_percent(),
-        flops,
+        units,
     );
-    Ok(SpgemmOutcome {
+    Ok(Outcome {
         decomposition,
         stats,
         objective,
-        flops,
         elapsed,
         status,
-        width: I::WIDTH,
+        width: F::WIDTH,
         engine,
         trace,
     })
 }
 
-// Serial-vs-parallel determinism and session reuse are inherited from the
-// engine; the Parallelism re-export keeps the doc link above resolvable
-// without a direct use in code.
-const _: fn() -> Parallelism = || Parallelism::Auto;
+/// Status attribution: a forced reason (degenerate input) wins, then
+/// cancellation, then budget truncation, then a missed balance target.
+/// The balance tolerance adds one work unit of slack
+/// (`100·K / work_units` percent) on top of ε — integer loads cannot hit
+/// a fractional average exactly, and that granularity is not a
+/// degradation. Cancellation wins the attribution over budget
+/// truncation: a cancelled run is reported as cancelled, not a budget
+/// accident.
+fn degradation_status(
+    forced_reason: Option<DegradedReason>,
+    engine: &EngineStats,
+    cfg: &DecomposeConfig,
+    imbalance: f64,
+    work_units: u64,
+) -> DecompositionStatus {
+    let allowed = cfg.epsilon * 100.0 + 100.0 * cfg.k as f64 / work_units.max(1) as f64 + 1e-9;
+    if let Some(reason) = forced_reason {
+        DecompositionStatus::Degraded { reason }
+    } else if engine.cancelled() {
+        DecompositionStatus::Degraded {
+            reason: DegradedReason::Cancelled,
+        }
+    } else if engine.truncated() {
+        DecompositionStatus::Degraded {
+            reason: DegradedReason::BudgetExhausted {
+                wall: engine.wall_truncations,
+                levels: engine.level_truncations,
+                fm_passes: engine.fm_truncations,
+                bytes: engine.byte_truncations,
+            },
+        }
+    } else if imbalance > allowed {
+        DecompositionStatus::Degraded {
+            reason: DegradedReason::BalanceInfeasible {
+                epsilon: cfg.epsilon,
+                achieved_percent: imbalance,
+            },
+        }
+    } else {
+        DecompositionStatus::Full
+    }
+}
+
+/// The SpGEMM side of the pipeline: the task hypergraph of `A · B`, whose
+/// multiply tasks are the work units. Its decode assigns every data
+/// element to the owner of its first pin, which keeps the exact-volume
+/// property for any task partition, round-robin included.
+struct SpgemmFamily<I: DecomposeIndex>(SpgemmModel<I>);
+
+impl<I: DecomposeIndex> Family for SpgemmFamily<I> {
+    const KIND: WorkloadKind = WorkloadKind::Spgemm;
+    const WIDTH: IndexWidth = I::WIDTH;
+    type Decomposition = SpgemmDecomposition;
+    type Stats = SpgemmCommStats;
+
+    fn work_units(&self) -> u64 {
+        self.0.structure().num_tasks() as u64
+    }
+
+    fn empty(&self, k: u32) -> std::result::Result<SpgemmDecomposition, FghError> {
+        Ok(SpgemmDecomposition {
+            k,
+            task_owner: Vec::new(),
+            a_owner: Vec::new(),
+            b_owner: Vec::new(),
+            c_owner: Vec::new(),
+        })
+    }
+
+    fn attempt(
+        &self,
+        cfg: &DecomposeConfig,
+        pool: &Arc<ArenaPool>,
+        scope: &SpanHandle,
+    ) -> std::result::Result<(SpgemmDecomposition, u64, EngineStats), FghError> {
+        let model = &self.0;
+        let mut pcfg = cfg.partition_config();
+        // Tasks have natural (row, col) positions in the product.
+        attach_coords(&mut pcfg, model.structure().num_tasks(), |t| {
+            model.coords(t)
+        });
+        hypergraph_arm(cfg, &pcfg, pool, scope, model.hypergraph(), |r| {
+            model.decode(&r.partition)
+        })
+    }
+
+    fn round_robin(&self, k: u32) -> std::result::Result<SpgemmDecomposition, FghError> {
+        let parts: Vec<u32> = (0..self.0.structure().num_tasks())
+            .map(|t| (t % k as usize) as u32) // lint: checked-cast — value < k, a u32
+            .collect();
+        let p = fgh_hypergraph::Partition::new(k, parts)
+            .map_err(fgh_partition::PartitionError::from)?;
+        Ok(self.0.decode(&p)?)
+    }
+
+    fn stats(&self, d: &SpgemmDecomposition) -> std::result::Result<SpgemmCommStats, FghError> {
+        Ok(SpgemmCommStats::compute_with(self.0.structure(), d)?)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -544,8 +640,7 @@ mod tests {
             out.stats.total_volume(),
             "cutsize != replayed SpGEMM volume"
         );
-        assert!(out.flops > 0);
-        assert_eq!(out.decomposition.task_owner.len() as u64, out.flops);
+        assert!(!out.decomposition.task_owner.is_empty());
         assert!(out.engine.bisections > 0, "engine-backed model");
     }
 
@@ -626,7 +721,7 @@ mod tests {
             .unwrap()
             .into_spgemm()
             .unwrap();
-        assert_eq!(out.flops, 0);
+        assert!(out.decomposition.task_owner.is_empty());
         assert_eq!(out.status.code(), Some("empty-matrix"));
         assert_eq!(out.stats.total_volume(), 0);
     }
@@ -736,8 +831,6 @@ mod tests {
         let spmv = decompose_workload(Workload::Spmv(&a), &DecomposeConfig::new(Model::Graph1D, 2))
             .unwrap();
         assert_eq!(spmv.kind(), WorkloadKind::Spmv);
-        assert!(spmv.as_spmv().is_some());
-        assert!(spmv.as_spgemm().is_none());
         assert!(matches!(
             spmv.clone().into_spgemm(),
             Err(FghError::InvalidInput(_))
@@ -746,7 +839,7 @@ mod tests {
 
         let spgemm = decompose_workload(Workload::Spgemm(&a, &a), &spgemm_cfg(2)).unwrap();
         assert_eq!(spgemm.kind(), WorkloadKind::Spgemm);
-        assert!(spgemm.as_spgemm().is_some());
+        assert!(spgemm.clone().into_spgemm().is_ok());
         assert!(matches!(spgemm.into_spmv(), Err(FghError::InvalidInput(_))));
     }
 
@@ -760,7 +853,7 @@ mod tests {
             .unwrap();
         let loads = out.decomposition.loads();
         let total: u64 = loads.iter().sum();
-        assert_eq!(total, out.flops);
+        assert_eq!(total, out.decomposition.task_owner.len() as u64);
         assert!(
             out.stats.load_imbalance_percent() <= 15.0,
             "imbalance {}%",

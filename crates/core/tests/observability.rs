@@ -3,13 +3,12 @@
 //! measured elapsed time, and span nesting matches the documented phase
 //! hierarchy under both serial and fork-join execution.
 
-use fgh_core::report::spgemm_metrics_json;
 use fgh_core::{
     decompose_workload, metrics_json, validate_metrics_value, DecomposeConfig, Model, Parallelism,
-    Workload, WorkloadKind, WorkloadOutcome,
+    Workload, WorkloadAny, WorkloadKind, WorkloadOutcome,
 };
 use fgh_sparse::catalog::by_name;
-use fgh_sparse::CsrMatrix;
+use fgh_sparse::{AnyCsrMatrix, CsrMatrix};
 use fgh_trace::json::parse;
 use fgh_trace::TraceNode;
 
@@ -22,29 +21,23 @@ fn matrix() -> CsrMatrix {
 /// Golden-snapshot check: for every model the `--metrics-json` document
 /// round-trips through the parser and validates against the documented
 /// schema, with a non-null embedded trace whose root is `decompose`.
-/// SpGEMM-workload models run the workload entry point with `A·A` and
-/// the SpGEMM document builder; everything else runs SpMV.
+/// SpGEMM-workload models run `A·A`; everything else runs SpMV. The
+/// decomposition runs on the `u32` matrix (the composite 2D models are
+/// `u32`-only, also under `force-u64`).
 #[test]
 fn metrics_json_validates_for_all_models() {
     let a = matrix();
+    let any = AnyCsrMatrix::U32(a.clone());
     for model in Model::ALL {
         let cfg = DecomposeConfig::new(model, 4)
             .with_epsilon(0.1)
             .with_trace(true);
-        let text = match model.workload() {
-            WorkloadKind::Spmv => {
-                let out = decompose_workload(Workload::Spmv(&a), &cfg)
-                    .and_then(WorkloadOutcome::into_spmv)
-                    .unwrap_or_else(|e| panic!("{model}: {e}"));
-                metrics_json(&a, &cfg, &out)
-            }
-            WorkloadKind::Spgemm => {
-                let out = decompose_workload(Workload::Spgemm(&a, &a), &cfg)
-                    .and_then(WorkloadOutcome::into_spgemm)
-                    .unwrap_or_else(|e| panic!("{model}: {e}"));
-                spgemm_metrics_json(&a, &a, &cfg, &out, None)
-            }
+        let (typed, workload) = match model.workload() {
+            WorkloadKind::Spmv => (Workload::Spmv(&a), WorkloadAny::Spmv(&any)),
+            WorkloadKind::Spgemm => (Workload::Spgemm(&a, &a), WorkloadAny::Spgemm(&any, &any)),
         };
+        let out = decompose_workload(typed, &cfg).unwrap_or_else(|e| panic!("{model}: {e}"));
+        let text = metrics_json(workload, &cfg, &out, None);
         let v = parse(&text).unwrap_or_else(|e| panic!("{model}: bad JSON: {e}"));
         validate_metrics_value(&v).unwrap_or_else(|e| panic!("{model}: {e}"));
         assert_eq!(v.get("model").unwrap().as_str(), Some(model.name()));
@@ -67,10 +60,10 @@ fn metrics_json_validates_for_all_models() {
 fn metrics_phase_ns_mirrors_engine_stats() {
     let a = matrix();
     let cfg = DecomposeConfig::new(Model::FineGrain2D, 8).with_parallelism(Parallelism::Serial);
-    let out = decompose_workload(Workload::Spmv(&a), &cfg)
-        .and_then(WorkloadOutcome::into_spmv)
-        .unwrap();
-    let v = parse(&metrics_json(&a, &cfg, &out)).unwrap();
+    let out = decompose_workload(Workload::Spmv(&a), &cfg).unwrap();
+    let any = AnyCsrMatrix::U32(a);
+    let v = parse(&metrics_json(WorkloadAny::Spmv(&any), &cfg, &out, None)).unwrap();
+    let out = out.into_spmv().unwrap();
     validate_metrics_value(&v).unwrap();
     let phase = v.get("engine").unwrap().get("phase_ns").unwrap();
     for (name, ns) in [

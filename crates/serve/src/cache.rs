@@ -30,11 +30,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A cached plan plus the summary numbers the response repeats.
+/// The numbers every decompose response repeats, for either workload.
 #[derive(Debug, Clone)]
-pub struct CachedPlan {
-    /// The decoded decomposition (revalidated on every hit).
-    pub decomposition: Decomposition,
+pub struct PlanSummary {
     /// The partitioner's objective value.
     pub objective: u64,
     /// Total communication volume in words.
@@ -47,12 +45,21 @@ pub struct CachedPlan {
     pub degraded_reason: Option<String>,
 }
 
+/// A cached SpMV plan plus the summary numbers the response repeats.
+#[derive(Debug, Clone)]
+pub struct CachedPlan {
+    /// The decoded decomposition (revalidated on every hit).
+    pub decomposition: Decomposition,
+    /// What the response repeats.
+    pub summary: PlanSummary,
+}
+
 impl CachedPlan {
     /// Approximate heap footprint, for the byte cap.
     fn approx_bytes(&self) -> usize {
         self.decomposition.nonzero_owner.len() * 4
             + self.decomposition.vec_owner.len() * 4
-            + self.degraded_reason.as_deref().map_or(0, str::len)
+            + self.summary.degraded_reason.as_deref().map_or(0, str::len)
             + 64
     }
 }
@@ -202,11 +209,13 @@ mod tests {
         let d = Decomposition::rowwise(&a, 2, (0..n).map(|i| i % 2).collect()).unwrap();
         CachedPlan {
             decomposition: d,
-            objective: 0,
-            volume: 0,
-            imbalance: 0.0,
-            degraded_code: None,
-            degraded_reason: None,
+            summary: PlanSummary {
+                objective: 0,
+                volume: 0,
+                imbalance: 0.0,
+                degraded_code: None,
+                degraded_reason: None,
+            },
         }
     }
 

@@ -18,17 +18,16 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fgh_core::report::{metrics_document, spgemm_metrics_document};
 use fgh_core::{
-    decompose_workload_any_in, Budget, CancelToken, DecomposeConfig, DecompositionOutcome,
-    EngineSession, FghError, Model, SpgemmOutcome, WorkloadAny, WorkloadOutcome,
+    decompose_workload_any_in, metrics_document, Budget, CancelToken, CommSummary, DecomposeConfig,
+    EngineSession, FghError, Model, Outcome, WorkloadAny, WorkloadOutcome,
 };
 use fgh_invariant::{lock_order, OrderedMutex, OrderedMutexGuard};
 use fgh_sparse::io::parse_matrix_market_bytes_any;
 use fgh_sparse::{catalog, AnyCsrMatrix};
 use fgh_trace::json::Value;
 
-use crate::cache::{fnv1a, CachedPlan, PlanCache};
+use crate::cache::{fnv1a, CachedPlan, PlanCache, PlanSummary};
 use crate::metrics::ServeCounters;
 use crate::protocol::{codes, error_response, DecomposeRequest, MatrixSource};
 
@@ -140,64 +139,58 @@ fn owners_array(owners: &[u32]) -> Value {
     Value::Arr(owners.iter().map(|&o| num(o as u64)).collect())
 }
 
-fn success_response(
-    req: &DecomposeRequest,
-    plan: &CachedPlan,
-    cache_hit: bool,
-    elapsed: Duration,
-) -> Value {
+/// The members every successful decompose response carries: status,
+/// size and the summary numbers, plus where the plan came from (`hit`,
+/// `miss`, or `bypass` for a fresh uncached compute).
+fn summary_response(
+    k: u32,
+    nnz: usize,
+    summary: &PlanSummary,
+    cache: &str,
+) -> BTreeMap<String, Value> {
     let mut doc = BTreeMap::new();
     doc.insert("ok".into(), Value::Bool(true));
-    doc.insert(
-        "status".into(),
-        Value::Str(
-            if plan.degraded_code.is_some() {
-                "degraded"
-            } else {
-                "full"
-            }
-            .into(),
-        ),
+    status_fields(
+        &mut doc,
+        summary.degraded_code,
+        summary.degraded_reason.as_deref(),
     );
-    doc.insert(
-        "degraded_code".into(),
-        plan.degraded_code
-            .map_or(Value::Null, |c| Value::Str(c.into())),
-    );
-    doc.insert(
-        "degraded_reason".into(),
-        plan.degraded_reason.clone().map_or(Value::Null, Value::Str),
-    );
-    doc.insert("k".into(), num(req.k as u64));
-    doc.insert(
-        "nnz".into(),
-        num(plan.decomposition.nonzero_owner.len() as u64),
-    );
-    doc.insert("objective".into(), num(plan.objective));
-    doc.insert("volume".into(), num(plan.volume));
-    doc.insert("imbalance".into(), Value::Num(plan.imbalance));
-    doc.insert(
-        "cache".into(),
-        Value::Str(if cache_hit { "hit" } else { "miss" }.into()),
-    );
-    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+    doc.insert("k".into(), num(k as u64));
+    doc.insert("nnz".into(), num(nnz as u64));
+    doc.insert("objective".into(), num(summary.objective));
+    doc.insert("volume".into(), num(summary.volume));
+    doc.insert("imbalance".into(), Value::Num(summary.imbalance));
+    doc.insert("cache".into(), Value::Str(cache.into()));
+    doc
+}
+
+fn insert_elapsed(doc: &mut BTreeMap<String, Value>, start: Instant) {
+    let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     doc.insert("elapsed_ns".into(), num(elapsed_ns));
+}
+
+/// The response to a plan-cache request (a hit or a fresh miss).
+fn plan_response(req: &DecomposeRequest, plan: &CachedPlan, cache: &str, start: Instant) -> Value {
+    let d = &plan.decomposition;
+    let mut doc = summary_response(req.k, d.nonzero_owner.len(), &plan.summary, cache);
     if req.include_owners {
-        doc.insert(
-            "nonzero_owner".into(),
-            owners_array(&plan.decomposition.nonzero_owner),
-        );
-        doc.insert(
-            "vec_owner".into(),
-            owners_array(&plan.decomposition.vec_owner),
-        );
+        doc.insert("nonzero_owner".into(), owners_array(&d.nonzero_owner));
+        doc.insert("vec_owner".into(), owners_array(&d.vec_owner));
     }
+    insert_elapsed(&mut doc, start);
     Value::Obj(doc)
 }
 
-fn plan_from_outcome(out: &DecompositionOutcome) -> CachedPlan {
-    CachedPlan {
-        decomposition: out.decomposition.clone(),
+/// Counts a fresh outcome of either workload in the daemon counters and
+/// summarizes it for the response.
+fn record<D, S: CommSummary>(counters: &ServeCounters, out: &Outcome<D, S>) -> PlanSummary {
+    if out.engine.cancelled() {
+        ServeCounters::bump(&counters.cancelled_jobs);
+    }
+    if out.status.is_degraded() {
+        ServeCounters::bump(&counters.degraded);
+    }
+    PlanSummary {
         objective: out.objective,
         volume: out.stats.total_volume(),
         imbalance: out.stats.load_imbalance_percent(),
@@ -298,10 +291,10 @@ pub fn execute_job(
             AnyCsrMatrix::U64(m) => plan.decomposition.validate(m).is_ok(),
         };
         if valid {
-            if plan.degraded_code.is_some() {
+            if plan.summary.degraded_code.is_some() {
                 ServeCounters::bump(&counters.degraded);
             }
-            return success_response(req, &plan, true, start.elapsed());
+            return plan_response(req, &plan, "hit", start);
         }
         cache.quarantine(key);
     }
@@ -310,20 +303,18 @@ pub fn execute_job(
         .and_then(WorkloadOutcome::into_spmv);
     match out {
         Ok(out) => {
-            if out.engine.cancelled() {
-                ServeCounters::bump(&counters.cancelled_jobs);
-            }
-            if out.status.is_degraded() {
-                ServeCounters::bump(&counters.degraded);
-            }
-            let plan = plan_from_outcome(&out);
+            let summary = record(counters, &out);
+            let plan = CachedPlan {
+                decomposition: out.decomposition,
+                summary,
+            };
             // Only full outcomes are worth caching: a degraded partial
             // (budget, cancellation) is not the answer the next caller
             // with the same parameters wants.
             if !out.status.is_degraded() {
                 cache.put(key, plan.clone());
             }
-            success_response(req, &plan, false, start.elapsed())
+            plan_response(req, &plan, "miss", start)
         }
         Err(e) => fgh_error_response(&e),
     }
@@ -335,9 +326,9 @@ fn fgh_error_response(e: &FghError) -> Value {
         FghError::UnsupportedWidth { model, width } => error_response(
             codes::UNSUPPORTED_WIDTH,
             &format!(
-                "model {model} cannot run at {}-bit indices; width-capable models: \
-                 graph-1d, hypergraph-1d-colnet, hypergraph-1d-rownet, fine-grain-2d",
-                width.bits()
+                "model {model} cannot run at {}-bit indices; width-capable models: {}",
+                width.bits(),
+                Model::wide_capable_names()
             ),
             None,
         ),
@@ -348,31 +339,13 @@ fn fgh_error_response(e: &FghError) -> Value {
     }
 }
 
-/// Replays the partitioned SpGEMM through the storage-traffic simulator
-/// at the outcome's carrier width. `Null` only when the replay itself
-/// fails (a decode/validation defect — the counters are never guessed).
-fn spgemm_traffic(a: &AnyCsrMatrix, b: &AnyCsrMatrix, out: &SpgemmOutcome) -> Value {
-    let (aw, bw) = match (a.convert_width(out.width), b.convert_width(out.width)) {
-        (Ok(aw), Ok(bw)) => (aw, bw),
-        _ => return Value::Null,
-    };
-    let report = match (&aw, &bw) {
-        (AnyCsrMatrix::U32(a), AnyCsrMatrix::U32(b)) => {
-            fgh_traffic::simulate(a, b, &out.decomposition)
-        }
-        (AnyCsrMatrix::U64(a), AnyCsrMatrix::U64(b)) => {
-            fgh_traffic::simulate(a, b, &out.decomposition)
-        }
-        _ => return Value::Null,
-    };
-    report.map_or(Value::Null, |r| r.to_value())
-}
-
 /// Executes one decompose body fresh (no plan cache) for either
 /// workload, returning a full response document. With `embed_metrics`
 /// the document carries the request's validated `fgh-metrics/1` report
 /// under `"metrics"` — the batch-response contract. SpGEMM responses
-/// always carry the simulator's `"traffic"` counters and `"flops"`.
+/// always carry `"flops"` and the storage-traffic simulator's
+/// `"traffic"` counters (`null` only when the replay itself fails — a
+/// decode/validation defect; the counters are never guessed).
 pub fn execute_workload(
     session: &EngineSession,
     counters: &ServeCounters,
@@ -389,15 +362,8 @@ pub fn execute_workload(
         Ok(cfg) => cfg,
         Err(response) => return response,
     };
-
-    let mut doc = BTreeMap::new();
-    doc.insert("ok".into(), Value::Bool(true));
-    doc.insert("k".into(), num(req.k as u64));
-    doc.insert("cache".into(), Value::Str("bypass".into()));
-    doc.insert("workload".into(), Value::Str(req.workload.clone()));
-
-    if req.workload == "spgemm" {
-        let b_owned;
+    let b_owned;
+    let workload = if req.workload == "spgemm" {
         let b = match &req.source_b {
             Some(s) => match build_matrix(s) {
                 Ok(m) => {
@@ -408,80 +374,35 @@ pub fn execute_workload(
             },
             None => &a, // default: the A·A product
         };
-        let out = decompose_workload_any_in(WorkloadAny::Spgemm(&a, b), &cfg, session.pool())
-            .and_then(WorkloadOutcome::into_spgemm);
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => return fgh_error_response(&e),
-        };
-        if out.engine.cancelled() {
-            ServeCounters::bump(&counters.cancelled_jobs);
-        }
-        if out.status.is_degraded() {
-            ServeCounters::bump(&counters.degraded);
-        }
-        status_fields(&mut doc, out.status.code(), out.status.reason());
-        doc.insert("nnz".into(), num(a.nnz() as u64));
-        doc.insert("flops".into(), num(out.flops));
-        doc.insert("objective".into(), num(out.objective));
-        doc.insert("volume".into(), num(out.stats.total_volume()));
-        doc.insert(
-            "imbalance".into(),
-            Value::Num(out.stats.load_imbalance_percent()),
-        );
-        let traffic = spgemm_traffic(&a, b, &out);
-        if embed_metrics {
-            let traffic_ref = if traffic.is_null() {
-                None
-            } else {
-                Some(&traffic)
-            };
-            let metrics = match (&a.convert_width(out.width), &b.convert_width(out.width)) {
-                (Ok(AnyCsrMatrix::U32(aw)), Ok(AnyCsrMatrix::U32(bw))) => {
-                    spgemm_metrics_document(aw, bw, &cfg, &out, traffic_ref)
-                }
-                (Ok(AnyCsrMatrix::U64(aw)), Ok(AnyCsrMatrix::U64(bw))) => {
-                    spgemm_metrics_document(aw, bw, &cfg, &out, traffic_ref)
-                }
-                _ => Value::Null,
-            };
-            doc.insert("metrics".into(), metrics);
-        }
-        doc.insert("traffic".into(), traffic);
+        WorkloadAny::Spgemm(&a, b)
     } else {
-        let out = decompose_workload_any_in(WorkloadAny::Spmv(&a), &cfg, session.pool())
-            .and_then(WorkloadOutcome::into_spmv);
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => return fgh_error_response(&e),
-        };
-        if out.engine.cancelled() {
-            ServeCounters::bump(&counters.cancelled_jobs);
-        }
-        if out.status.is_degraded() {
-            ServeCounters::bump(&counters.degraded);
-        }
-        status_fields(&mut doc, out.status.code(), out.status.reason());
-        doc.insert(
-            "nnz".into(),
-            num(out.decomposition.nonzero_owner.len() as u64),
-        );
-        doc.insert("objective".into(), num(out.objective));
-        doc.insert("volume".into(), num(out.stats.total_volume()));
-        doc.insert(
-            "imbalance".into(),
-            Value::Num(out.stats.load_imbalance_percent()),
-        );
-        if embed_metrics {
-            let metrics = match &a {
-                AnyCsrMatrix::U32(m) => metrics_document(m, &cfg, &out),
-                AnyCsrMatrix::U64(m) => metrics_document(m, &cfg, &out),
-            };
-            doc.insert("metrics".into(), metrics);
-        }
+        WorkloadAny::Spmv(&a)
+    };
+
+    let out = match decompose_workload_any_in(workload, &cfg, session.pool()) {
+        Ok(o) => o,
+        Err(e) => return fgh_error_response(&e),
+    };
+    let summary = match &out {
+        WorkloadOutcome::Spmv(o) => record(counters, o),
+        WorkloadOutcome::Spgemm(o) => record(counters, o),
+    };
+    let mut doc = summary_response(req.k, a.nnz(), &summary, "bypass");
+    doc.insert("workload".into(), Value::Str(req.workload.clone()));
+    let mut traffic = None;
+    if let (WorkloadOutcome::Spgemm(o), WorkloadAny::Spgemm(a, b)) = (&out, workload) {
+        traffic = fgh_traffic::simulate_any(a, b, &o.decomposition)
+            .ok()
+            .map(|r| r.to_value());
+        let flops = o.decomposition.task_owner.len() as u64;
+        doc.insert("flops".into(), num(flops));
+        doc.insert("traffic".into(), traffic.clone().unwrap_or(Value::Null));
     }
-    let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    doc.insert("elapsed_ns".into(), num(elapsed_ns));
+    if embed_metrics {
+        let metrics = metrics_document(workload, &cfg, &out, traffic.as_ref());
+        doc.insert("metrics".into(), metrics);
+    }
+    insert_elapsed(&mut doc, start);
     Value::Obj(doc)
 }
 
@@ -563,8 +484,7 @@ pub fn execute_batch(
         );
     }
     doc.insert("results".into(), Value::Arr(results));
-    let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    doc.insert("elapsed_ns".into(), num(elapsed_ns));
+    insert_elapsed(&mut doc, start);
     Value::Obj(doc)
 }
 

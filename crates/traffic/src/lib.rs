@@ -37,8 +37,8 @@
 use std::collections::BTreeMap;
 
 use fgh_core::models::{SpgemmDecomposition, SpgemmStructure};
-use fgh_core::ModelError;
-use fgh_sparse::{CsrMatrix, IndexType};
+use fgh_core::{DecomposeIndex, ModelError};
+use fgh_sparse::{AnyCsrMatrix, CsrMatrix, IndexType, SparseError};
 use fgh_trace::json::Value;
 
 /// Errors from traffic simulation and numeric verification.
@@ -46,6 +46,8 @@ use fgh_trace::json::Value;
 pub enum TrafficError {
     /// Structure enumeration or decomposition validation failed.
     Model(ModelError),
+    /// A width-erased operand could not be brought to the common width.
+    Sparse(SparseError),
     /// The partitioned numeric replay diverged from the Gustavson
     /// reference beyond the allowed relative tolerance.
     NumericMismatch {
@@ -63,6 +65,7 @@ impl std::fmt::Display for TrafficError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TrafficError::Model(e) => write!(f, "{e}"),
+            TrafficError::Sparse(e) => write!(f, "{e}"),
             TrafficError::NumericMismatch {
                 row,
                 col,
@@ -81,6 +84,7 @@ impl std::error::Error for TrafficError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrafficError::Model(e) => Some(e),
+            TrafficError::Sparse(e) => Some(e),
             TrafficError::NumericMismatch { .. } => None,
         }
     }
@@ -89,6 +93,12 @@ impl std::error::Error for TrafficError {
 impl From<ModelError> for TrafficError {
     fn from(e: ModelError) -> Self {
         TrafficError::Model(e)
+    }
+}
+
+impl From<SparseError> for TrafficError {
+    fn from(e: SparseError) -> Self {
+        TrafficError::Sparse(e)
     }
 }
 
@@ -170,6 +180,20 @@ pub fn simulate<I: IndexType>(
 ) -> Result<TrafficReport, TrafficError> {
     let s = SpgemmStructure::build(a, b)?;
     simulate_with(&s, d)
+}
+
+/// [`simulate`] over width-erased carriers (what the CLI and the serve
+/// daemon hold): a `u32` pair runs as is, any other pair at `u64`. The
+/// counters do not depend on the width.
+pub fn simulate_any(
+    a: &AnyCsrMatrix,
+    b: &AnyCsrMatrix,
+    d: &SpgemmDecomposition,
+) -> Result<TrafficReport, TrafficError> {
+    match (a.as_u32(), b.as_u32()) {
+        (Some(a), Some(b)) => simulate(a, b, d),
+        _ => simulate(&*u64::from_any(a)?, &*u64::from_any(b)?, d),
+    }
 }
 
 /// [`simulate`] against an already-built canonical structure.
@@ -395,6 +419,7 @@ pub fn verify_numeric<I: IndexType>(
 mod tests {
     use super::*;
     use fgh_core::models::{SpgemmCommStats, SpgemmModel};
+    use fgh_core::CommSummary;
     use fgh_hypergraph::{cutsize_connectivity, Partition};
     use fgh_sparse::gen::{self, ValueMode};
     use fgh_sparse::CooMatrix;
@@ -528,8 +553,19 @@ mod tests {
         let report = simulate(&a, &a, &out.decomposition).unwrap();
         // The partitioned outcome's remote traffic equals its objective.
         assert_eq!(report.total_remote(), out.objective);
-        let doc =
-            fgh_core::report::spgemm_metrics_document(&a, &a, &cfg, &out, Some(&report.to_value()));
+        let any = AnyCsrMatrix::U32(a);
+        // The width-erased replay agrees with the typed one.
+        let wide = any.convert_width(fgh_sparse::IndexWidth::U64).unwrap();
+        assert_eq!(
+            simulate_any(&any, &wide, &out.decomposition).unwrap(),
+            report
+        );
+        let doc = fgh_core::metrics_document(
+            fgh_core::WorkloadAny::Spgemm(&any, &any),
+            &cfg,
+            &fgh_core::WorkloadOutcome::Spgemm(out),
+            Some(&report.to_value()),
+        );
         fgh_core::validate_metrics_value(&doc).unwrap();
     }
 

@@ -6,6 +6,7 @@
 //! partitioned numeric replay reproduces the serial Gustavson product.
 
 use fgh_core::models::{spgemm_flops, SpgemmCommStats, SpgemmModel};
+use fgh_core::CommSummary;
 use fgh_hypergraph::{cutsize_connectivity, Partition};
 use fgh_sparse::catalog::catalog;
 use fgh_traffic::{simulate_with, verify_numeric};
